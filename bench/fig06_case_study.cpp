@@ -17,6 +17,7 @@
 
 #include "bench_world.h"
 #include "geo/projection.h"
+#include "shape_checks.h"
 
 using namespace stmaker;
 using namespace stmaker::bench;
@@ -102,19 +103,20 @@ int main() {
   Result<Summary> k3 = world.maker->Summarize(chosen.raw, three);
   STMAKER_CHECK(k3.ok());
 
+  ShapeChecks check;
   std::printf("\n--- shape checks ---\n");
   std::printf("k=1 gives a single sentence: %s\n",
-              k1->partitions.size() == 1 ? "OK" : "VIOLATED");
+              check(k1->partitions.size() == 1) ? "OK" : "VIOLATED");
   std::printf("k=1 already flags an irregularity: %s\n",
-              !k1->partitions[0].selected.empty() ? "OK" : "VIOLATED");
+              check(!k1->partitions[0].selected.empty()) ? "OK" : "VIOLATED");
   std::printf(
       "k=3 surfaces the discrete events (stays=%d, u-turns=%d): %s\n",
       chosen.events.num_stays, chosen.events.num_uturns,
-      (k3->ContainsFeature(kStayPointsFeature) ||
-       k3->ContainsFeature(kUTurnsFeature))
+      check(k3->ContainsFeature(kStayPointsFeature) ||
+            k3->ContainsFeature(kUTurnsFeature))
           ? "OK"
           : "VIOLATED");
   std::printf("summary text does not shrink materially with k: %s\n",
-              monotone_info ? "OK" : "VIOLATED");
-  return 0;
+              check(monotone_info) ? "OK" : "VIOLATED");
+  return check.ExitCode();
 }

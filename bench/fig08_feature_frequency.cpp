@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "bench_world.h"
+#include "shape_checks.h"
 #include "traj/congestion.h"
 
 using namespace stmaker;
@@ -69,16 +70,18 @@ int main() {
     }
   }
 
+  ShapeChecks check;
   std::printf("\n--- shape checks (paper's qualitative claims) ---\n");
   for (size_t f = 0; f < kNumBuiltInFeatures; ++f) {
     double day = day_ff[f] / day_buckets;
     double night = night_ff[f] / night_buckets;
     std::printf("%-7s day FF %.3f vs night FF %.3f  -> %s\n",
                 FeatureLabel(f), day, night,
-                day > night ? "day > night OK" : "VIOLATED");
+                check(day > night) ? "day > night OK" : "VIOLATED");
   }
   std::printf("speed: rush-hour FF %.3f vs midday FF %.3f  -> %s\n",
               rush_speed, offpeak_day_speed,
-              rush_speed > offpeak_day_speed ? "rush spike OK" : "VIOLATED");
-  return 0;
+              check(rush_speed > offpeak_day_speed) ? "rush spike OK"
+                                                    : "VIOLATED");
+  return check.ExitCode();
 }

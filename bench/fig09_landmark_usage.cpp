@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_world.h"
+#include "shape_checks.h"
 
 using namespace stmaker;
 using namespace stmaker::bench;
@@ -76,13 +77,14 @@ int main() {
 
   double top1 = usage[0] / total_used;
   double top3 = (usage[0] + usage[1] + usage[2]) / total_used;
+  ShapeChecks check;
   std::printf("\n--- shape checks ---\n");
   std::printf("top-10%% share: %.1f%% (paper: ~40%%)  -> %s\n", 100 * top1,
-              top1 > 0.25 ? "long tail OK" : "VIOLATED");
+              check(top1 > 0.25) ? "long tail OK" : "VIOLATED");
   std::printf("top-30%% share: %.1f%% (paper: ~60%%)  -> %s\n", 100 * top3,
-              top3 > 0.5 ? "majority in top deciles OK" : "VIOLATED");
+              check(top3 > 0.5) ? "majority in top deciles OK" : "VIOLATED");
   bool monotone_head = usage[0] > usage[3] && usage[0] > usage[9];
   std::printf("head dominates tail -> %s\n",
-              monotone_head ? "OK" : "VIOLATED");
-  return 0;
+              check(monotone_head) ? "OK" : "VIOLATED");
+  return check.ExitCode();
 }

@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bench_world.h"
+#include "shape_checks.h"
 
 using namespace stmaker;
 using namespace stmaker::bench;
@@ -58,6 +59,7 @@ int main() {
   Status st = world.maker->registry().SetWeight("speed", 1.0);
   STMAKER_CHECK(st.ok());
 
+  ShapeChecks check;
   std::printf("\n--- shape checks ---\n");
   bool monotone = true;
   for (size_t wi = 1; wi < std::size(kWeights); ++wi) {
@@ -66,8 +68,8 @@ int main() {
   std::printf("FF(Spe) non-decreasing in w: %.2f -> %.2f -> %.2f -> %.2f -> "
               "%.2f  -> %s\n",
               speed_ff_at[0], speed_ff_at[1], speed_ff_at[2], speed_ff_at[3],
-              speed_ff_at[4], monotone ? "OK" : "VIOLATED");
+              speed_ff_at[4], check(monotone) ? "OK" : "VIOLATED");
   std::printf("FF(Spe) grows overall (w=4 vs w=0.5): %s\n",
-              speed_ff_at[4] > speed_ff_at[0] ? "OK" : "VIOLATED");
-  return 0;
+              check(speed_ff_at[4] > speed_ff_at[0]) ? "OK" : "VIOLATED");
+  return check.ExitCode();
 }

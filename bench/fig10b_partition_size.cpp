@@ -20,6 +20,7 @@
 #include <cstdio>
 
 #include "bench_world.h"
+#include "shape_checks.h"
 
 using namespace stmaker;
 using namespace stmaker::bench;
@@ -87,14 +88,15 @@ int main() {
                      (3.0 * partitions);
   }
 
+  ShapeChecks check;
   std::printf("\n--- shape checks (per-partition description rate) ---\n");
   std::printf("routing rate k=1 %.3f vs k=7 %.3f  -> %s\n", routing_rate[1],
               routing_rate[7],
-              routing_rate[1] > routing_rate[7] ? "decreases with k OK"
-                                                : "VIOLATED");
+              check(routing_rate[1] > routing_rate[7]) ? "decreases with k OK"
+                                                       : "VIOLATED");
   std::printf("moving rate  k=1 %.3f vs k=7 %.3f  -> %s\n", moving_rate[1],
               moving_rate[7],
-              moving_rate[7] > moving_rate[1] ? "increases with k OK"
-                                              : "VIOLATED");
-  return 0;
+              check(moving_rate[7] > moving_rate[1]) ? "increases with k OK"
+                                                     : "VIOLATED");
+  return check.ExitCode();
 }

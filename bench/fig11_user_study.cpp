@@ -25,6 +25,7 @@
 #include <cstdio>
 
 #include "bench_world.h"
+#include "shape_checks.h"
 #include "traj/congestion.h"
 
 using namespace stmaker;
@@ -131,6 +132,7 @@ int main() {
   double level4 = static_cast<double>(level_counts[4]) / kNumSummaries;
   double level34 =
       static_cast<double>(level_counts[3] + level_counts[4]) / kNumSummaries;
+  ShapeChecks check;
   std::printf("\n--- shape checks ---\n");
   // The reader model is stricter than a human judge: level 4 demands
   // perfect recall of every ground-truth event, which humans cannot check.
@@ -139,13 +141,14 @@ int main() {
   // paper's 55%% under the exact-recall rubric.
   std::printf("level 4 share %.1f%% (paper ~55%%, exact-recall rubric) -> %s\n",
               100 * level4,
-              level4 > 0.25 && level_counts[4] > level_counts[2]
+              check(level4 > 0.25 && level_counts[4] > level_counts[2])
                   ? "large share OK"
                   : "VIOLATED");
   std::printf("level 3+4 share %.1f%% (paper ~80%%)    -> %s\n",
-              100 * level34, level34 > 0.7 ? "OK" : "VIOLATED");
+              100 * level34, check(level34 > 0.7) ? "OK" : "VIOLATED");
   std::printf("level 1 is rare (%.1f%%)               -> %s\n",
               100.0 * level_counts[1] / kNumSummaries,
-              level_counts[1] < kNumSummaries / 10 ? "OK" : "VIOLATED");
-  return 0;
+              check(level_counts[1] < kNumSummaries / 10) ? "OK"
+                                                          : "VIOLATED");
+  return check.ExitCode();
 }

@@ -16,7 +16,7 @@
 //   {"name", "threads", "items_per_sec", "p50_ms", "p99_ms"}
 // plus special records: "ch_routing" (map size, build cost, measured
 // CH-over-Dijkstra speedup), "index_retrieval" (indexed-vs-scan speedups),
-// "model_coldstart" (CSV-vs-container load latency and RSS growth),
+// "model_coldstart" (model-container load latency and RSS growth),
 // "slo"/"slo_knee" (closed-loop load points, excluded from --compare),
 // "machine" (hardware concurrency plus CPU model and ISA flags, so
 // scaling and SIMD-sensitive numbers can be read against the silicon that
@@ -26,6 +26,7 @@
 // row instead of vanishing into the city-wide aggregate.
 
 #include <stdlib.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
@@ -45,6 +46,7 @@
 #include <vector>
 
 #include "bench_world.h"
+#include "common/fileutil.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/trace.h"
@@ -53,8 +55,6 @@
 #include "geo/bounding_box.h"
 #include "index/trajectory_index.h"
 #include "io/container.h"
-#include "io/poi_io.h"
-#include "io/road_network_io.h"
 #include "io/trajectory_io.h"
 #include "net/loadgen.h"
 #include "net/ndjson_service.h"
@@ -100,6 +100,13 @@ long CurrentRssKb() {
   }
   std::fclose(f);
   return kb;
+}
+
+/// Removes a staged serving directory (model.stm + trajectories.csv).
+void RemoveStagedModel(const std::string& dir) {
+  RemoveFileIfExists(dir + "/model.stm");
+  RemoveFileIfExists(dir + "/trajectories.csv");
+  ::rmdir(dir.c_str());
 }
 
 /// Nearest-rank percentile over per-item (or per-rep) latencies.
@@ -605,10 +612,26 @@ int Run(const char* out_path) {
         static_cast<int>(std::min(4u, std::max(1u, hw)));
     capacity_qps = unit_rate * kServeThreads;
 
+    // Served exactly as `stmaker_cli serve --model` serves: the model
+    // container and the corpus staged in a directory, loaded by a
+    // ModelManager, every request pinned to its snapshot.
+    char slo_template[] = "/tmp/stmaker_bench_slo_XXXXXX";
+    char* slo_dir_c = mkdtemp(slo_template);
+    STMAKER_CHECK(slo_dir_c != nullptr);
+    const std::string slo_dir(slo_dir_c);
+    STMAKER_CHECK(world.maker->SaveModelContainer(slo_dir + "/model.stm").ok());
+    STMAKER_CHECK(WriteTrajectoriesCsv(slo_dir + "/trajectories.csv", raws).ok());
+    ModelManagerOptions slo_mopts;
+    slo_mopts.data_dir = slo_dir;
+    slo_mopts.model_prefix = slo_dir + "/model.stm";
+    slo_mopts.use_hierarchy = false;  // the sweep offers summarize only
+    ModelManager slo_manager(slo_mopts);
+    STMAKER_CHECK(slo_manager.Initialize().ok());
+
     net::NdjsonServiceOptions sopts;
     sopts.threads = kServeThreads;
     sopts.max_inflight = 256;
-    net::NdjsonService service(world.maker.get(), &raws, sopts);
+    net::NdjsonService service(&slo_manager, sopts);
     net::TcpServerOptions topts;
     topts.num_loops = 2;
     net::TcpServer server(
@@ -667,25 +690,26 @@ int Run(const char* out_path) {
     Status drained = server.Wait();
     STMAKER_CHECK(drained.ok());
     service.Drain();
+    RemoveStagedModel(slo_dir);
     std::printf("# slo knee: %.1f qps at p99 %.3f ms "
                 "(capacity estimate %.1f qps)\n",
                 knee_qps, knee_p99_ms, capacity_qps);
   }
 
-  // --- Model lifecycle: reload latency and post-swap first-request cost.
-  // A dedicated small world (the reload path re-reads the whole dataset
-  // from disk, so the bench world's 3000-trip corpus would time dataset
-  // parsing, not the swap) staged the way `stmaker_cli gen`+`train` lay it
-  // out. ModelReload is the wall time of a full Reload() — world read,
-  // manifest-verified model parse, commit; PostSwapFirstRequest is the
-  // latency of the first summarize answered by the freshly swapped
-  // snapshot (its caches are stone cold — that cost is the price of the
-  // zero-downtime design and deserves its own row). The same staged world
-  // also carries the cold-start comparison (CSV prefix vs binary
-  // container) and the container-reload row; the aggregate numbers are
-  // hoisted here for the "model_coldstart" record in the emit section.
-  double coldstart_csv_p50_ms = 0, coldstart_container_p50_ms = 0;
-  long coldstart_csv_rss_kb = 0, coldstart_container_rss_kb = 0;
+  // --- Model lifecycle: cold start, reload latency, and post-swap
+  // first-request cost. A dedicated small world (the reload path re-reads
+  // the serving corpus from disk, so the bench world's 3000-trip corpus
+  // would time dataset parsing, not the swap) staged the way `stmaker_cli
+  // gen`+`train` lay it out: trajectories.csv plus the model container.
+  // ModelReload_container is the wall time of a full Reload() — map,
+  // section CRCs, model restore, corpus read, commit;
+  // PostSwapFirstRequest is the latency of the first summarize answered
+  // by the freshly swapped snapshot (its caches are stone cold — that cost
+  // is the price of the zero-downtime design and deserves its own row).
+  // The cold-start aggregates are hoisted here for the "model_coldstart"
+  // record in the emit section.
+  double coldstart_container_p50_ms = 0;
+  long coldstart_container_rss_kb = 0;
   {
     char dir_template[] = "/tmp/stmaker_bench_reload_XXXXXX";
     char* dir_c = mkdtemp(dir_template);
@@ -699,15 +723,6 @@ int Run(const char* out_path) {
     small.num_travelers = 30;
     small.num_days = 7;
     BenchWorld lifecycle_world = BuildBenchWorld(small);
-    STMAKER_CHECK(
-        WriteRoadNetworkCsv(dir + "/network", lifecycle_world.city.network)
-            .ok());
-    PoiGeneratorOptions poi_options;
-    poi_options.num_sites = small.poi_sites;
-    poi_options.seed = small.seed + 1;
-    std::vector<RawPoi> pois =
-        PoiGenerator(poi_options).Generate(lifecycle_world.city.network);
-    STMAKER_CHECK(WritePoisCsv(dir + "/pois.csv", pois).ok());
     std::vector<RawTrajectory> small_raws;
     small_raws.reserve(lifecycle_world.history.size());
     for (const GeneratedTrip& t : lifecycle_world.history) {
@@ -715,49 +730,19 @@ int Run(const char* out_path) {
     }
     STMAKER_CHECK(
         WriteTrajectoriesCsv(dir + "/trajectories.csv", small_raws).ok());
-    // Train on the world as read back from CSV (exactly what `train`
-    // does): the saved hierarchy must validate against the quantized
-    // coordinates the manager will load, not the in-memory originals.
-    {
-      Result<RoadNetwork> network = ReadRoadNetworkCsv(dir + "/network");
-      STMAKER_CHECK(network.ok());
-      Result<std::vector<RawPoi>> loaded_pois = ReadPoisCsv(dir + "/pois.csv");
-      STMAKER_CHECK(loaded_pois.ok());
-      LandmarkIndex index = LandmarkIndex::Build(*network, *loaded_pois);
-      STMaker trainer(&*network, &index, FeatureRegistry::BuiltIn());
-      STMAKER_CHECK(trainer.Train(small_raws).ok());
-      STMAKER_CHECK(trainer.BuildRoadHierarchy().ok());
-      STMAKER_CHECK(trainer.SaveModel(dir + "/model").ok());
-      STMAKER_CHECK(trainer.SaveModelContainer(dir + "/model.stm").ok());
-    }
-
-    // Cold start, CSV prefix vs binary container (docs/FORMAT.md): time
-    // from nothing-in-memory to a maker ready to answer, measured with
-    // direct loads rather than the ModelManager so the shared
-    // trajectories.csv parse (identical on both paths) does not mask the
-    // difference. The container path is mmap + header/CRC walk — no
-    // per-row text parse — so its row should sit well under the CSV one.
-    // RSS is sampled on the first rep only (see CurrentRssKb).
+    STMAKER_CHECK(lifecycle_world.maker->BuildRoadHierarchy().ok());
     const std::string container_path = dir + "/model.stm";
+    STMAKER_CHECK(
+        lifecycle_world.maker->SaveModelContainer(container_path).ok());
+
+    // Cold start (docs/FORMAT.md): time from nothing-in-memory to a maker
+    // ready to answer, measured with direct loads rather than the
+    // ModelManager so the trajectories.csv parse does not mask it. mmap +
+    // header/CRC walk — no per-row text parse. RSS is sampled on the
+    // first rep only (see CurrentRssKb).
     const int kColdReps = 5;
-    std::vector<double> cold_csv_ms, cold_container_ms;
-    double cold_csv_total = 0, cold_container_total = 0;
-    for (int rep = 0; rep < kColdReps; ++rep) {
-      long rss_before = CurrentRssKb();
-      double t0 = NowMs();
-      Result<RoadNetwork> network = ReadRoadNetworkCsv(dir + "/network");
-      STMAKER_CHECK(network.ok());
-      Result<std::vector<RawPoi>> cold_pois = ReadPoisCsv(dir + "/pois.csv");
-      STMAKER_CHECK(cold_pois.ok());
-      LandmarkIndex index = LandmarkIndex::Build(*network, *cold_pois);
-      STMaker maker(&*network, &index, FeatureRegistry::BuiltIn());
-      STMAKER_CHECK(maker.LoadModel(dir + "/model").ok());
-      double dt = NowMs() - t0;
-      cold_csv_ms.push_back(dt);
-      cold_csv_total += dt;
-      // Sampled while the loaded model is still alive.
-      if (rep == 0) coldstart_csv_rss_kb = CurrentRssKb() - rss_before;
-    }
+    std::vector<double> cold_container_ms;
+    double cold_container_total = 0;
     for (int rep = 0; rep < kColdReps; ++rep) {
       long rss_before = CurrentRssKb();
       double t0 = NowMs();
@@ -774,23 +759,21 @@ int Run(const char* out_path) {
       double dt = NowMs() - t0;
       cold_container_ms.push_back(dt);
       cold_container_total += dt;
+      // Sampled while the loaded model is still alive.
       if (rep == 0) coldstart_container_rss_kb = CurrentRssKb() - rss_before;
     }
-    results.push_back(Summarize("ModelColdStart_csv", 1, cold_csv_ms,
-                                kColdReps, cold_csv_total));
     results.push_back(Summarize("ModelColdStart_container", 1,
                                 cold_container_ms, kColdReps,
                                 cold_container_total));
-    coldstart_csv_p50_ms = Percentile(cold_csv_ms, 50);
     coldstart_container_p50_ms = Percentile(cold_container_ms, 50);
-    std::printf("# cold start: csv p50 %.2f ms (+%ld kB RSS), container "
-                "p50 %.2f ms (+%ld kB RSS)\n",
-                coldstart_csv_p50_ms, coldstart_csv_rss_kb,
+    std::printf("# cold start: container p50 %.2f ms (+%ld kB RSS)\n",
                 coldstart_container_p50_ms, coldstart_container_rss_kb);
 
+    // Each Reload() maps the file fresh, revalidates, and pins the new
+    // mapping in the published snapshot (DESIGN.md §15).
     ModelManagerOptions mopts;
     mopts.data_dir = dir;
-    mopts.model_prefix = dir + "/model";
+    mopts.model_prefix = container_path;
     ModelManager manager(mopts);
     STMAKER_CHECK(manager.Initialize().ok());
     net::NdjsonServiceOptions sopts;
@@ -830,34 +813,11 @@ int Run(const char* out_path) {
     }
     service.Drain();
     manager.WaitIdle();
-    results.push_back(Summarize("ModelReload", 1, reload_ms, kReloadReps,
-                                reload_total));
     results.push_back(Summarize("PostSwapFirstRequest", 1, first_request_ms,
                                 kReloadReps, first_total));
-
-    // Same swap discipline, container-backed snapshot: each Reload() maps
-    // the file fresh, revalidates, and pins the new mapping in the
-    // published snapshot (DESIGN.md §15 semantics are format-agnostic).
-    // The delta against the ModelReload row above is the reload-time win
-    // of skipping the CSV world + model parse.
-    {
-      ModelManagerOptions copts = mopts;
-      copts.model_prefix = container_path;
-      ModelManager cmanager(copts);
-      STMAKER_CHECK(cmanager.Initialize().ok());
-      std::vector<double> creload_ms;
-      double creload_total = 0;
-      for (int rep = 0; rep < kReloadReps; ++rep) {
-        double t0 = NowMs();
-        STMAKER_CHECK(cmanager.Reload().ok());
-        double dt = NowMs() - t0;
-        creload_ms.push_back(dt);
-        creload_total += dt;
-      }
-      cmanager.WaitIdle();
-      results.push_back(Summarize("ModelReload_container", 1, creload_ms,
-                                  kReloadReps, creload_total));
-    }
+    results.push_back(Summarize("ModelReload_container", 1, reload_ms,
+                                kReloadReps, reload_total));
+    RemoveStagedModel(dir);
   }
 
   // --- Trajectory-index retrieval: similarity top-K and region/time-window
@@ -1048,16 +1008,14 @@ int Run(const char* out_path) {
                "\"region_speedup_vs_scan\": %.1f},\n",
                raws.size(), index_postings, index_similar_speedup,
                index_region_speedup);
-  // Cold-start comparison between the CSV model prefix and the binary
-  // container (docs/FORMAT.md): p50 wall time to a ready maker plus the
-  // first-rep RSS growth of each load path. The per-rep latencies also
-  // flow through the regular ModelColdStart_{csv,container} rows above.
+  // Model-container cold start (docs/FORMAT.md): p50 wall time to a ready
+  // maker plus the first-rep RSS growth. The per-rep latencies also flow
+  // through the regular ModelColdStart_container row above.
   std::fprintf(out,
-               "  {\"name\": \"model_coldstart\", \"csv_p50_ms\": %.4f, "
-               "\"container_p50_ms\": %.4f, \"csv_rss_delta_kb\": %ld, "
+               "  {\"name\": \"model_coldstart\", "
+               "\"container_p50_ms\": %.4f, "
                "\"container_rss_delta_kb\": %ld},\n",
-               coldstart_csv_p50_ms, coldstart_container_p50_ms,
-               coldstart_csv_rss_kb, coldstart_container_rss_kb);
+               coldstart_container_p50_ms, coldstart_container_rss_kb);
   // SLO rows are load-dependent (offered rate scales with the build's own
   // capacity estimate), so bench_report.py excludes them from --compare.
   for (const SloPoint& p : slo_points) {

@@ -49,7 +49,7 @@ struct CacheStats {
 /// Keys need operator== and a Hash functor (std::hash by default).
 ///
 /// Not internally synchronized: callers that share a cache across threads
-/// must hold their own mutex around every call (see CachingRouter and the
+/// must hold their own mutex around every call (see the Calibrator and
 /// PopularRouteMiner query cache for the locking idiom). Since caches only
 /// memoize deterministic computations, their presence never changes
 /// results — only latency.

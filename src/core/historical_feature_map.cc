@@ -67,14 +67,6 @@ std::vector<HistoricalFeatureMap::EdgeRecord> HistoricalFeatureMap::Edges()
   return out;
 }
 
-void HistoricalFeatureMap::Merge(const HistoricalFeatureMap& other) {
-  STMAKER_CHECK(other.num_features_ == num_features_);
-  for (const Key& key : other.key_order_) {
-    const Accumulator& acc = other.edges_.find(key)->second;
-    AddAccumulated(key.from, key.to, acc.sum, acc.count);
-  }
-}
-
 void HistoricalFeatureMap::AddAccumulated(LandmarkId from, LandmarkId to,
                                           const std::vector<double>& sums,
                                           double count) {

@@ -27,7 +27,7 @@ namespace stmaker {
 /// Thread-safety: concurrent const reads (RegularValuesCopy, GlobalAverage,
 /// Edges) are safe. RegularValues() refreshes a lazy per-edge average and is
 /// NOT safe concurrently; the summarization path uses only the const
-/// lookups. Mutations (AddSegment, AddAccumulated, Merge) must be
+/// lookups. Mutations (AddSegment, AddAccumulated) must be
 /// serialized against everything else.
 class HistoricalFeatureMap {
  public:
@@ -71,21 +71,11 @@ class HistoricalFeatureMap {
   /// All edges in deterministic first-annotated order (serialization hook).
   std::vector<EdgeRecord> Edges() const;
 
-  /// Merges a pre-aggregated edge record (deserialization hook). The sums
-  /// length must equal num_features() and count must be positive.
+  /// Merges a pre-aggregated edge record (the container load, and Train
+  /// folding in a batch). The sums length must equal num_features() and
+  /// count must be positive.
   void AddAccumulated(LandmarkId from, LandmarkId to,
                       const std::vector<double>& sums, double count);
-
-  /// Folds every edge accumulator of `other` (which must have the same
-  /// feature dimensionality) into this map, replaying them in `other`'s
-  /// first-annotated order. Merging the per-shard maps of a corpus split
-  /// into contiguous index blocks, shard 0 first, reproduces the serial
-  /// map's edge set, edge order, and counts exactly; per-feature sums are
-  /// accumulated in index order but regrouped per shard, so they can
-  /// differ from a serial pass in the last floating-point ulp (see
-  /// DESIGN.md "Parallel execution & determinism"). Associative up to that
-  /// regrouping.
-  void Merge(const HistoricalFeatureMap& other);
 
  private:
   struct Key {

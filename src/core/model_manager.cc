@@ -95,14 +95,12 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
   snapshot->data_dir = options_.data_dir;
   snapshot->model_prefix = model_prefix;
 
-  const bool from_container =
-      !model_prefix.empty() && IsContainerFile(model_prefix);
-  if (from_container) {
-    // Binary container: one mmap carries the world and the model. The
+  if (!model_prefix.empty()) {
+    // The model container: one mmap carries the world and the model. The
     // snapshot pins the mapping (see ModelSnapshot::container) and the
     // network's hot arrays alias it zero-copy; everything else is
-    // validated and materialized before publish, so corruption rolls back
-    // exactly like a bad CSV.
+    // validated and materialized before publish, so any damage — a
+    // non-container file included (bad magic) — rolls back the reload.
     STMAKER_ASSIGN_OR_RETURN(snapshot->container,
                              MappedContainer::Open(model_prefix));
     STMAKER_ASSIGN_OR_RETURN(snapshot->network,
@@ -113,10 +111,10 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
     snapshot->landmarks =
         std::make_unique<LandmarkIndex>(std::move(landmarks));
   } else {
-    // World: road network, landmarks, serving corpus. Loaded fresh per
-    // snapshot — sharing a mutable landmark index across model versions is
-    // exactly the torn state this class exists to prevent (LoadModel writes
-    // significances into the index it is given).
+    // No model: the world comes from the dataset CSVs and the snapshot
+    // trains in-process. Loaded fresh per snapshot — training writes
+    // significances into the landmark index it is given, so sharing one
+    // across versions would tear the serving snapshot.
     STMAKER_ASSIGN_OR_RETURN(
         snapshot->network, ReadRoadNetworkCsv(options_.data_dir + "/network"));
     STMAKER_ASSIGN_OR_RETURN(std::vector<RawPoi> pois,
@@ -131,16 +129,9 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
   snapshot->maker = std::make_unique<STMaker>(
       &snapshot->network, snapshot->landmarks.get(),
       FeatureRegistry::BuiltIn(), options_.maker);
-  if (from_container) {
-    // Same parse-then-commit discipline as LoadModel, against the mapped
-    // sections instead of CSV rows.
+  if (snapshot->container != nullptr) {
     STMAKER_RETURN_IF_ERROR(
         snapshot->maker->LoadModelContainer(*snapshot->container));
-  } else if (!model_prefix.empty()) {
-    // Parse-then-commit with CRC32-manifest verification; any error —
-    // including failpoint-injected I/O faults mid-load — surfaces here
-    // with the candidate snapshot still unpublished.
-    STMAKER_RETURN_IF_ERROR(snapshot->maker->LoadModel(model_prefix));
   } else {
     STMAKER_RETURN_IF_ERROR(snapshot->maker->Train(snapshot->trajectories));
   }
@@ -154,8 +145,8 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
       // and re-contracting would blow the bounded-I/O reload budget.
       return Status::FailedPrecondition(
           "reload rejected: model '" + model_prefix +
-          "' has no usable routing hierarchy (truncated or missing _ch.csv /"
-          " damaged container section); keeping the current snapshot");
+          "' has no usable routing hierarchy (missing or damaged hierarchy "
+          "section); keeping the current snapshot");
     }
   } else if (!options_.use_hierarchy) {
     snapshot->maker->DropRoadHierarchy();

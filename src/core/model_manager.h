@@ -9,8 +9,8 @@
 /// request needs: the road network (CSR), the landmark index, the serving
 /// corpus, and a trained STMaker (which carries the CH hierarchy, feature
 /// map, and calibration/popular-route caches). Snapshots are built off to
-/// the side on a background thread — parse-then-commit, reusing the
-/// CRC32-manifest validation of LoadModel — and published with one
+/// the side on a background thread — parse-then-commit, with the model
+/// container's per-section CRC32 validation — and published with one
 /// shared_ptr swap. Every in-flight request pins the snapshot it started
 /// on, so a response is never served from a half-loaded or mixed-version
 /// model and a swap frees the old snapshot only after its last request
@@ -25,7 +25,8 @@
 ///     never interleave and the final state is the last request's.
 ///
 /// Rollback state machine (DESIGN.md §15): a reload that fails for any
-/// reason — missing files, CRC mismatch, a failpoint-injected fault
+/// reason — a missing or non-container file, a CRC mismatch, a
+/// failpoint-injected fault
 /// mid-load, or a hierarchy regression — leaves the current snapshot
 /// serving untouched, increments `model.reload_failures`, and reports the
 /// error to the caller. There is no intermediate state visible to
@@ -65,7 +66,7 @@ struct ModelSnapshot {
   uint64_t version = 0;
   /// Dataset directory the world (network/POIs/corpus) was loaded from.
   std::string data_dir;
-  /// Model file prefix; empty when the snapshot was trained in-process.
+  /// Model container path; empty when the snapshot was trained in-process.
   std::string model_prefix;
   /// Wall-clock publish time (ms since the Unix epoch).
   int64_t loaded_unix_ms = 0;
@@ -73,7 +74,7 @@ struct ModelSnapshot {
   double load_ms = 0;
 
   /// The mapped model container when the snapshot was loaded from one
-  /// (null for CSV/trained snapshots). The network's hot arrays alias this
+  /// (null for snapshots trained in-process). The network's hot arrays alias this
   /// mapping zero-copy, so it is declared *before* `network`: members
   /// destroy in reverse declaration order, guaranteeing the network (and
   /// every request pinning this snapshot) dies before the mapping is
@@ -89,9 +90,11 @@ struct ModelSnapshot {
 
 /// Configuration for the manager's snapshot loads.
 struct ModelManagerOptions {
-  /// Dataset directory (network CSVs, pois.csv, trajectories.csv).
+  /// Dataset directory: trajectories.csv (the serving corpus), plus the
+  /// network CSVs and pois.csv when there is no model to load.
   std::string data_dir;
-  /// Model prefix for LoadModel; empty trains in-process from the corpus.
+  /// Model container path (`.stm`); empty trains in-process from the
+  /// corpus.
   std::string model_prefix;
   /// Forwarded to every snapshot's STMaker.
   STMakerOptions maker;

@@ -65,15 +65,6 @@ void PopularRouteMiner::AddTransitionCount(LandmarkId a, LandmarkId b,
   max_count_ = std::max(max_count_, count);
 }
 
-void PopularRouteMiner::Merge(const PopularRouteMiner& other) {
-  for (LandmarkId from : other.from_order_) {
-    auto it = other.graph_.find(from);
-    for (const OutEdge& e : it->second) {
-      AddTransitionCount(from, e.to, e.count);
-    }
-  }
-}
-
 std::vector<PopularRouteMiner::Transition> PopularRouteMiner::Transitions()
     const {
   std::vector<Transition> out;
@@ -115,7 +106,7 @@ const PopularRouteMiner::QueryTotals& PopularRouteMiner::EnsureTotals()
     //   P = count(a→b) / (Σ_c count(a→c) + κ),  κ = mean out-degree mass.
     // Iterating from_order_ (not the hash map) keeps the floating-point
     // accumulation order — and hence κ to the last bit — independent of
-    // hash-table layout, so serially-built and shard-merged miners agree.
+    // hash-table layout, so equal miners always agree on every query.
     auto totals = std::make_unique<QueryTotals>();
     double total_mass = 0;
     for (LandmarkId from : from_order_) {

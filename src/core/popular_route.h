@@ -31,7 +31,7 @@ namespace stmaker {
 ///
 /// Thread-safety: concurrent const queries (PopularRoute, TransitionCount,
 /// Transitions, ...) are safe — the internal query cache is mutex-guarded.
-/// Mutations (AddTrajectory, AddTransitionCount, Merge) must not overlap
+/// Mutations (AddTrajectory, AddTransitionCount) must not overlap
 /// queries or each other; STMaker serializes them inside Train.
 class PopularRouteMiner {
  public:
@@ -74,16 +74,8 @@ class PopularRouteMiner {
   std::vector<Transition> Transitions() const;
 
   /// Adds `count` pre-aggregated transitions from `a` to `b`
-  /// (deserialization hook; also usable to merge mined models).
+  /// (deserialization hook; also how Train replays the corpus).
   void AddTransitionCount(LandmarkId a, LandmarkId b, double count);
-
-  /// Folds every transition of `other` into this miner, replaying them in
-  /// `other`'s first-mined order so that merging per-shard miners of a
-  /// corpus split into contiguous index blocks — shard 0 first — rebuilds
-  /// exactly the miner a serial pass over the whole corpus would produce
-  /// (transition counts are integral, so the additions are exact).
-  /// Associative and commutative up to transition ordering.
-  void Merge(const PopularRouteMiner& other);
 
   /// Cache observability for benchmarks and serve mode: hit/miss/eviction
   /// counters of the route cache since construction.

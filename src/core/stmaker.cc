@@ -123,14 +123,13 @@ std::string IngestReport::ToString() const {
 
 namespace {
 
-/// Private accumulators of one ingestion worker. Shard s sees only the
-/// trajectories of index block s; the blocks are merged left to right.
-/// Trip descriptors are not sharded: workers fill disjoint slots of one
-/// pre-sized vector, so descriptor i is trip i at every thread count.
-struct IngestShard {
-  std::unique_ptr<HistoricalFeatureMap> features;
-  VisitCorpus visits;
-  IngestReport report;
+/// What one ingested trip adds to the model besides its index descriptor:
+/// the feature values of each segment of its symbolic sequence, and its
+/// traveller. Workers fill disjoint slots; the slots are replayed in
+/// corpus order after the parallel phase.
+struct IngestedTrip {
+  int64_t traveler = -1;
+  std::vector<std::vector<double>> segment_values;
 };
 
 }  // namespace
@@ -138,26 +137,24 @@ struct IngestShard {
 Result<IngestReport> STMaker::IngestCorpus(
     const std::vector<RawTrajectory>& history, int num_threads) {
   const int threads = ResolveThreadCount(num_threads);
-  std::vector<IngestShard> shards(static_cast<size_t>(threads));
-  for (IngestShard& shard : shards) {
-    shard.features = std::make_unique<HistoricalFeatureMap>(registry_.size());
-  }
+  std::vector<IngestReport> reports(static_cast<size_t>(threads));
   // One descriptor slot per offered trajectory — quarantined trips keep an
   // empty slot so descriptor index always equals corpus position. The trip
   // ids continue from any previously indexed corpus (TrainIncremental).
   const uint32_t trip_base = static_cast<uint32_t>(
       trip_index_ != nullptr ? trip_index_->descriptors().size() : 0);
   std::vector<TripDescriptor> descriptors(history.size());
+  std::vector<IngestedTrip> slots(history.size());
 
-  // The shard body is exactly the serial per-trajectory ingest, writing to
-  // the shard's private accumulators. The calibrator and extractor are
-  // shared but thread-safe (const pipelines; the calibration cache locks).
-  // Unusable trajectories are quarantined into the shard report instead of
-  // failing the batch; one poisoned trip never takes the corpus down.
+  // The worker body is the per-trajectory pipeline; it writes only the
+  // trip's own slots and its worker's report, never the model. The
+  // calibrator and extractor are shared but thread-safe (const pipelines;
+  // the calibration cache locks). Unusable trajectories are quarantined
+  // into the report instead of failing the batch; one poisoned trip never
+  // takes the corpus down.
   ParallelFor(history.size(), threads,
-              [&](size_t begin, size_t end, int shard_index) {
-                IngestShard& shard = shards[static_cast<size_t>(shard_index)];
-                IngestReport& report = shard.report;
+              [&](size_t begin, size_t end, int worker) {
+                IngestReport& report = reports[static_cast<size_t>(worker)];
                 for (size_t i = begin; i < end; ++i) {
                   ++report.total;
                   bool injected = false;
@@ -201,38 +198,29 @@ Result<IngestReport> STMaker::IngestCorpus(
                     continue;
                   }
 
-                  const SymbolicTrajectory& symbolic = calibrated->symbolic;
                   // Complete the descriptor: landmark labels, the symbolic
-                  // sequence (popular-route mining replays transitions from
-                  // it after the merge), and the Eq. 3 fingerprint.
+                  // sequence (the replay below walks it), and the Eq. 3
+                  // fingerprint. `scored` also marks the trip as ingested.
+                  const SymbolicTrajectory& symbolic = calibrated->symbolic;
                   TrajectoryIndex::FinishDescriptor(
                       symbolic, NormalizeSegmentFeatures(*features),
                       registry_.size(), &descriptors[i]);
-                  std::vector<LandmarkId> visited;
-                  visited.reserve(symbolic.samples.size());
-                  for (size_t s = 0; s < symbolic.samples.size(); ++s) {
-                    if (s + 1 < symbolic.samples.size()) {
-                      shard.features->AddSegment(
-                          symbolic.samples[s].landmark,
-                          symbolic.samples[s + 1].landmark,
-                          (*features)[s].values);
-                    }
-                    visited.push_back(symbolic.samples[s].landmark);
+                  IngestedTrip& trip = slots[i];
+                  trip.traveler = raw.traveler;
+                  for (size_t s = 0; s + 1 < symbolic.samples.size(); ++s) {
+                    trip.segment_values.push_back(
+                        std::move((*features)[s].values));
                   }
-                  // Record visits for HITS significance. Anonymous
-                  // trajectories get a fresh traveller record so they still
-                  // contribute hub mass without conflating distinct
-                  // vehicles.
-                  shard.visits.AddTrajectory(raw.traveler, visited);
                   ++report.ingested;
                 }
               });
 
-  // Decide acceptance from the merged counts *before* touching the member
+  // Decide acceptance from the summed counts *before* touching the member
   // accumulators, so a rejected batch leaves the model exactly as it was
-  // (TrainIncremental relies on this).
+  // (TrainIncremental relies on this). Counts are integers, so the sum is
+  // the same at every thread count.
   IngestReport report;
-  for (const IngestShard& shard : shards) report.Merge(shard.report);
+  for (const IngestReport& part : reports) report.Merge(part);
   if (report.total > 0 &&
       report.QuarantineFraction() > options_.max_quarantine_fraction) {
     return Status::FailedPrecondition(StrFormat(
@@ -244,27 +232,35 @@ Result<IngestReport> STMaker::IngestCorpus(
         report.ToString().c_str()));
   }
 
-  // Merge in block order: shard 0 holds the leftmost trajectories, so this
-  // replays the corpus left to right exactly as the serial loop would.
-  for (const IngestShard& shard : shards) {
-    feature_map_->Merge(*shard.features);
-    visit_corpus_.Merge(shard.visits);
-  }
-  // Popular-route mining consumes the index descriptors instead of
-  // rescanning the corpus: replaying each trip's symbolic sequence in
-  // corpus order performs exactly the AddTrajectory() calls of a serial
-  // ingest (consecutive pairs, self-transitions skipped, +1 per pair), so
-  // the transition graph — and its serialization — is unchanged and
-  // thread-count independent.
-  for (const TripDescriptor& d : descriptors) {
-    for (size_t s = 0; s + 1 < d.sequence.size(); ++s) {
-      if (d.sequence[s] == d.sequence[s + 1]) continue;
-      miner_.AddTransitionCount(d.sequence[s], d.sequence[s + 1], 1.0);
+  // Replay every ingested trip in corpus order: feature-map segments,
+  // popular-route transitions (consecutive pairs, self-transitions
+  // skipped), and landmark visits. These are the calls a serial ingest
+  // makes, in the same order, so every floating-point sum, every insertion
+  // order, and the anonymous-traveller numbering are identical at any
+  // thread count — by construction. The batch's feature sums are then
+  // folded into the model per edge, in first-annotated order, which is how
+  // a container load rebuilds the map: a trained model and its saved
+  // container agree bit for bit, global averages included.
+  HistoricalFeatureMap batch(registry_.size());
+  for (size_t i = 0; i < history.size(); ++i) {
+    const TripDescriptor& d = descriptors[i];
+    if (!d.scored) continue;
+    const std::vector<LandmarkId>& sequence = d.sequence;
+    for (size_t s = 0; s + 1 < sequence.size(); ++s) {
+      batch.AddSegment(sequence[s], sequence[s + 1],
+                       slots[i].segment_values[s]);
+      if (sequence[s] != sequence[s + 1]) {
+        miner_.AddTransitionCount(sequence[s], sequence[s + 1], 1.0);
+      }
     }
+    visit_corpus_.AddTrajectory(slots[i].traveler, sequence);
+  }
+  for (const HistoricalFeatureMap::EdgeRecord& e : batch.Edges()) {
+    feature_map_->AddAccumulated(e.from, e.to, e.sums, e.count);
   }
   RebuildTrajectoryIndex(std::move(descriptors));
   num_trained_ += report.ingested;
-  // One registry update per corpus from the merged report (not per shard),
+  // One registry update per corpus from the summed report (not per worker),
   // so the counters are deterministic at every thread count.
   {
     MetricsRegistry& r = MetricsRegistry::Global();
@@ -357,12 +353,11 @@ Result<IngestReport> STMaker::TrainIncrementalWithReport(
     const std::vector<RawTrajectory>& history) {
   if (analyzer_ == nullptr || visit_corpus_.empty()) {
     return Status::FailedPrecondition(
-        "TrainIncremental requires a prior Train(), or a LoadModel() of a "
-        "model saved with its visit corpus (legacy models without "
-        "_visits.csv cannot accumulate)");
+        "TrainIncremental requires a prior Train() or LoadModelContainer() "
+        "with a non-empty visit corpus");
   }
-  // IngestCorpus rejects an over-quarantined batch before merging, so the
-  // served model is untouched on failure.
+  // IngestCorpus rejects an over-quarantined batch before replaying it, so
+  // the served model is untouched on failure.
   STMAKER_ASSIGN_OR_RETURN(IngestReport report,
                            IngestCorpus(history, options_.num_threads));
   RecomputeSignificance();

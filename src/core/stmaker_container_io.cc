@@ -1,9 +1,8 @@
 // Binary model-container persistence for STMaker
 // (SaveModelContainer/LoadModelContainer) plus the world loaders
 // (LoadNetworkFromContainer/LoadLandmarksFromContainer). The container
-// replaces the loose CSV model files with one mmap-served file; the CSV
-// path (stmaker_model_io.cc) remains the import/export form and this file
-// mirrors its policy decisions exactly:
+// is the one loadable model format: a single mmap-served file (the CSV
+// files of stmaker_model_io.cc are a one-way dump). Load policy:
 //
 //   - required sections (meta, feature names, transitions, feature map,
 //     stats, visits, and the whole world) fail the load, leaving the maker
@@ -14,7 +13,7 @@
 //
 // Determinism: sections are written in SectionType order, records in the
 // accumulators' deterministic iteration order (the same order the CSV
-// files use), and every struct field — including explicit padding — is
+// dump uses), and every struct field — including explicit padding — is
 // assigned, so identical model state produces a byte-identical container.
 // The calibration-stats section is recomputed on load from the replayed
 // feature map in the same order it was computed at save time and compared
@@ -216,7 +215,7 @@ Status STMaker::SaveModelContainer(const std::string& path) const {
     writer.AddSection(SectionType::kMeta, kSectionVersion,
                       sizeof(ContainerMetaRecord), std::move(payload));
   }
-  {  // kFeatureNames: the same ";"-joined id list the CSV meta file pins.
+  {  // kFeatureNames: the ";"-joined feature id list (as in the CSV dump).
     std::vector<std::string> feature_ids;
     for (const FeatureDef& def : registry_.defs()) {
       feature_ids.push_back(def.id);
@@ -351,7 +350,7 @@ Status STMaker::SaveModelContainer(const std::string& path) const {
                       std::move(payload));
   }
   {  // kVisits, record order then first-visited pair order — the same
-     // order the CSV file writes, so the replay composes identically.
+     // order the CSV dump writes, so the replay composes identically.
     std::string payload;
     payload.reserve(num_visits * sizeof(VisitRecord));
     for (const VisitCorpus::Record& record : visit_corpus_.records()) {
@@ -618,8 +617,7 @@ Result<LandmarkIndex> LoadLandmarksFromContainer(const MappedContainer& c,
 // ---------------------------------------------------------------------------
 
 Status STMaker::LoadModelContainer(const MappedContainer& c) {
-  // Reset trained state; on any failure the maker stays untrained, exactly
-  // like LoadModel.
+  // Reset trained state; on any failure the maker stays untrained.
   analyzer_.reset();
   feature_map_.reset();
   miner_ = PopularRouteMiner();
@@ -632,8 +630,7 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
   STMAKER_ASSIGN_OR_RETURN(ContainerMetaRecord meta, ReadMeta(c));
   const size_t F = registry_.size();
 
-  // Feature-set compatibility, pinned by the same ";"-joined id list the
-  // CSV meta file uses.
+  // Feature-set compatibility, pinned by the ";"-joined feature id list.
   {
     STMAKER_ASSIGN_OR_RETURN(const SectionEntry* entry,
                              RequiredSection(c, SectionType::kFeatureNames));

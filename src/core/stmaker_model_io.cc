@@ -1,70 +1,20 @@
-// Model persistence for STMaker (SaveModel/LoadModel): the mined
-// popular-route transitions, the historical feature map in accumulator
-// form, the landmark significances, the landmark visit corpus (which is
-// what re-arms TrainIncremental after a restore), and a small metadata
-// file that pins the feature set. See stmaker.h for the contract.
-//
-// Durability: SaveModel builds every file in memory, writes each to a
-// ".tmp" sibling, renames the set into place, and finally writes a
-// "<prefix>_MANIFEST.csv" with per-file byte counts and CRC32s — so a
-// crash or injected I/O failure never leaves a torn model that LoadModel
-// would accept. LoadModel verifies the manifest (when present; pre-manifest
-// models load unverified for backward compatibility) before parsing:
-// missing files surface kIoError, checksum/size mismatches
-// kFailedPrecondition, both naming the offending file. All parsed state is
-// committed to the STMaker only after every file validated, so a failed
-// load leaves the maker untrained and the landmark index unmodified.
+// The human-readable CSV dump of a trained STMaker (SaveModel, behind
+// `stmaker_cli unpack`): the mined popular-route transitions, the
+// historical feature map in accumulator form, the landmark significances,
+// the landmark visit corpus, a small metadata file naming the feature set,
+// and — when present — the trajectory index and the routing hierarchy.
+// Doubles are written with %.17g, so the dump is exact and two dumps diff
+// cleanly. The dump is one-way: the model container (stmaker_container_io)
+// is the only format that loads.
 
-#include <cstdio>
-#include <cstdlib>
-#include <utility>
-
-#include "common/crc32.h"
 #include "common/csv.h"
 #include "common/fileutil.h"
-#include "common/metrics.h"
-#include "common/retry.h"
 #include "common/strings.h"
 #include "core/stmaker.h"
 
 namespace stmaker {
 
 namespace {
-
-Result<double> ParseDouble(const std::string& field) {
-  char* end = nullptr;
-  double v = std::strtod(field.c_str(), &end);
-  if (end == field.c_str() || *end != '\0') {
-    return Status::InvalidArgument("not a number: '" + field + "'");
-  }
-  return v;
-}
-
-Result<int64_t> ParseInt(const std::string& field) {
-  char* end = nullptr;
-  long long v = std::strtoll(field.c_str(), &end, 10);
-  if (end == field.c_str() || *end != '\0') {
-    return Status::InvalidArgument("not an integer: '" + field + "'");
-  }
-  return static_cast<int64_t>(v);
-}
-
-/// The model's data files, in write (and manifest) order.
-constexpr const char* kModelSuffixes[] = {
-    "_meta.csv", "_transitions.csv", "_feature_map.csv",
-    "_significance.csv", "_visits.csv"};
-/// The preprocessed routing hierarchy: optional (only written when one was
-/// built) and advisory (a corrupt or stale file downgrades routing to
-/// Dijkstra with a warning instead of failing the model load — the model
-/// itself is intact, only the accelerator is lost).
-constexpr const char* kHierarchySuffix = "_ch.csv";
-/// The spatio-temporal trajectory index: optional (only written when one
-/// was built) and advisory like the hierarchy — a corrupt or truncated
-/// file downgrades similarity/region queries to the (identical-result)
-/// full corpus scan with a warning and the `index.load_failures` counter,
-/// never a failed model load.
-constexpr const char* kIndexSuffix = "_index.csv";
-constexpr const char* kManifestSuffix = "_MANIFEST.csv";
 
 struct ModelPart {
   std::string suffix;
@@ -78,7 +28,6 @@ Status STMaker::SaveModel(const std::string& prefix) const {
     return Status::FailedPrecondition("SaveModel requires a trained model");
   }
 
-  // --- Build every file in memory (checksummable, atomically writable). ----
   std::vector<ModelPart> parts;
 
   {  // Metadata: the feature set this model was mined with.
@@ -90,7 +39,7 @@ Status STMaker::SaveModel(const std::string& prefix) const {
       feature_ids.push_back(def.id);
     }
     csv.Row({"features", Join(feature_ids, ";")});
-    parts.push_back({kModelSuffixes[0], csv.TakeString()});
+    parts.push_back({"_meta.csv", csv.TakeString()});
   }
   {  // Popular-route transitions.
     CsvBuilder csv;
@@ -99,7 +48,7 @@ Status STMaker::SaveModel(const std::string& prefix) const {
       csv.Row({std::to_string(t.from), std::to_string(t.to),
                StrFormat("%.17g", t.count)});
     }
-    parts.push_back({kModelSuffixes[1], csv.TakeString()});
+    parts.push_back({"_transitions.csv", csv.TakeString()});
   }
   {  // Historical feature map (accumulator form).
     CsvBuilder csv;
@@ -115,7 +64,7 @@ Status STMaker::SaveModel(const std::string& prefix) const {
       for (double s : e.sums) row.push_back(StrFormat("%.17g", s));
       csv.Row(row);
     }
-    parts.push_back({kModelSuffixes[2], csv.TakeString()});
+    parts.push_back({"_feature_map.csv", csv.TakeString()});
   }
   {  // Landmark significances.
     CsvBuilder csv;
@@ -124,12 +73,10 @@ Status STMaker::SaveModel(const std::string& prefix) const {
       if (lm.significance == 0) continue;  // sparse
       csv.Row({std::to_string(lm.id), StrFormat("%.17g", lm.significance)});
     }
-    parts.push_back({kModelSuffixes[3], csv.TakeString()});
+    parts.push_back({"_significance.csv", csv.TakeString()});
   }
-  {  // Visit corpus (traveller -> landmark visit counts). Rows are written
-     // in record order (records keep first-seen traveller order, pairs keep
-     // first-visited order) so a restore rebuilds the corpus byte-for-byte
-     // and TrainIncremental keeps composing.
+  {  // Visit corpus (traveller -> landmark visit counts), in record order
+     // (first-seen traveller order, first-visited pair order).
     CsvBuilder csv;
     csv.Row({"traveler", "landmark", "count"});
     for (const VisitCorpus::Record& record : visit_corpus_.records()) {
@@ -138,357 +85,21 @@ Status STMaker::SaveModel(const std::string& prefix) const {
                  StrFormat("%.17g", count)});
       }
     }
-    parts.push_back({kModelSuffixes[4], csv.TakeString()});
+    parts.push_back({"_visits.csv", csv.TakeString()});
   }
   if (trip_index_ != nullptr) {
-    // Options + descriptors only; the posting lists are derived state and
-    // are rebuilt on load, which keeps the file small and its bytes
-    // independent of container iteration order.
-    parts.push_back({kIndexSuffix, trip_index_->SaveToString()});
+    // Options + descriptors only; the posting lists are derived state.
+    parts.push_back({"_index.csv", trip_index_->SaveToString()});
   }
   if (road_hierarchy_ != nullptr) {
-    // The hierarchy serializes itself (with its own trailing CRC record);
-    // the manifest adds the same bytes+CRC32 commit check as the other
-    // parts.
-    parts.push_back({kHierarchySuffix, road_hierarchy_->SaveToString()});
+    // The hierarchy serializes itself (with a trailing CRC record).
+    parts.push_back({"_ch.csv", road_hierarchy_->SaveToString()});
   }
 
-  // --- Stage to temp files, then rename the set into place. -----------------
-  auto cleanup_temps = [&]() {
-    for (const ModelPart& part : parts) {
-      RemoveFileIfExists(prefix + part.suffix + ".tmp");
-    }
-  };
   for (const ModelPart& part : parts) {
-    Status written =
-        WriteFileToPath(prefix + part.suffix + ".tmp", part.content);
-    if (!written.ok()) {
-      cleanup_temps();
-      return written;
-    }
+    STMAKER_RETURN_IF_ERROR(
+        WriteFileAtomic(prefix + part.suffix, part.content));
   }
-  for (const ModelPart& part : parts) {
-    Status renamed =
-        RenameFile(prefix + part.suffix + ".tmp", prefix + part.suffix);
-    if (!renamed.ok()) {
-      cleanup_temps();
-      return renamed;
-    }
-  }
-
-  // --- Manifest last: readers treat it as the commit record. ----------------
-  CsvBuilder manifest;
-  manifest.Row({"file", "bytes", "crc32"});
-  for (const ModelPart& part : parts) {
-    manifest.Row({part.suffix, std::to_string(part.content.size()),
-                  StrFormat("%08x", Crc32(part.content))});
-  }
-  return WriteFileAtomic(prefix + kManifestSuffix, manifest.str());
-}
-
-namespace {
-
-/// One model file read into memory, with its manifest-declared checksum
-/// already verified (when a manifest was present).
-struct VerifiedFile {
-  std::string path;
-  std::string content;
-};
-
-Result<VerifiedFile> ReadModelFile(const std::string& prefix,
-                                   const std::string& suffix,
-                                   const RetryOptions& retry) {
-  VerifiedFile file;
-  file.path = prefix + suffix;
-  STMAKER_ASSIGN_OR_RETURN(file.content,
-                           ReadFileToStringWithRetry(file.path, retry));
-  return file;
-}
-
-}  // namespace
-
-Status STMaker::LoadModel(const std::string& prefix) {
-  // Reset trained state; on any failure the maker stays untrained. The
-  // routing hierarchy goes too — it belongs to the model being replaced.
-  analyzer_.reset();
-  feature_map_.reset();
-  miner_ = PopularRouteMiner();
-  visit_corpus_ = VisitCorpus();
-  num_trained_ = 0;
-  trip_index_.reset();
-  index_build_failed_ = false;
-  DropRoadHierarchy();
-
-  // --- Manifest verification (pre-manifest models load unverified). ---------
-  const std::string manifest_path = prefix + kManifestSuffix;
-  bool manifest_lists_visits = false;
-  // The "_ch.csv" hierarchy is advisory: a damaged one must never block the
-  // model (the summaries don't depend on it), so its manifest failures
-  // downgrade to a warning and routing falls back to Dijkstra. The
-  // "_index.csv" trajectory index follows the same policy: damage costs
-  // the accelerator, never the model.
-  bool hierarchy_damaged = false;
-  bool index_damaged = false;
-  if (FileExists(manifest_path)) {
-    STMAKER_ASSIGN_OR_RETURN(
-        std::string manifest_text,
-        ReadFileToStringWithRetry(manifest_path, options_.io_retry));
-    STMAKER_ASSIGN_OR_RETURN(
-        auto rows, ParseCsvTable(manifest_text, {"file", "bytes", "crc32"},
-                                 manifest_path));
-    if (rows.empty()) {
-      return Status::FailedPrecondition(manifest_path +
-                                        ": manifest lists no files");
-    }
-    for (const std::vector<std::string>& row : rows) {
-      const std::string path = prefix + row[0];
-      if (row[0] == "_visits.csv") manifest_lists_visits = true;
-      Status verified = [&]() -> Status {
-        STMAKER_ASSIGN_OR_RETURN(int64_t want_bytes, ParseInt(row[1]));
-        Result<std::string> content =
-            ReadFileToStringWithRetry(path, options_.io_retry);
-        if (!content.ok()) {
-          return Status::IoError("model file listed in manifest is missing: " +
-                                 path + " (" + content.status().message() +
-                                 ")");
-        }
-        if (static_cast<int64_t>(content->size()) != want_bytes) {
-          return Status::FailedPrecondition(StrFormat(
-              "%s: size mismatch (manifest says %lld bytes, file has %zu) — "
-              "truncated or torn write",
-              path.c_str(), static_cast<long long>(want_bytes),
-              content->size()));
-        }
-        const std::string got_crc = StrFormat("%08x", Crc32(*content));
-        if (got_crc != row[2]) {
-          return Status::FailedPrecondition(StrFormat(
-              "%s: CRC32 mismatch (manifest %s, file %s) — corrupted model "
-              "file",
-              path.c_str(), row[2].c_str(), got_crc.c_str()));
-        }
-        return Status::OK();
-      }();
-      if (!verified.ok()) {
-        if (row[0] == kHierarchySuffix) {
-          std::fprintf(stderr,
-                       "warning: routing hierarchy unusable, falling back to "
-                       "Dijkstra: %s\n",
-                       verified.ToString().c_str());
-          hierarchy_damaged = true;
-          continue;
-        }
-        if (row[0] == kIndexSuffix) {
-          std::fprintf(stderr,
-                       "warning: trajectory index unusable, similarity/"
-                       "region queries fall back to corpus scan: %s\n",
-                       verified.ToString().c_str());
-          index_damaged = true;
-          continue;
-        }
-        return verified;
-      }
-    }
-  }
-
-  // --- Parse every file into locals; commit only after all succeed. ---------
-
-  // Metadata: feature-set compatibility.
-  size_t loaded_num_trained = 0;
-  {
-    STMAKER_ASSIGN_OR_RETURN(VerifiedFile file,
-                             ReadModelFile(prefix, kModelSuffixes[0], options_.io_retry));
-    STMAKER_ASSIGN_OR_RETURN(
-        auto rows, ParseCsvTable(file.content, {"key", "value"}, file.path));
-    std::string features;
-    for (const std::vector<std::string>& row : rows) {
-      if (row[0] == "num_trained") {
-        STMAKER_ASSIGN_OR_RETURN(int64_t n, ParseInt(row[1]));
-        loaded_num_trained = static_cast<size_t>(n);
-      } else if (row[0] == "features") {
-        features = row[1];
-      }
-    }
-    std::vector<std::string> feature_ids;
-    for (const FeatureDef& def : registry_.defs()) {
-      feature_ids.push_back(def.id);
-    }
-    if (features != Join(feature_ids, ";")) {
-      return Status::FailedPrecondition(
-          "model was mined with a different feature set: " + features);
-    }
-  }
-
-  // Transitions.
-  PopularRouteMiner miner;
-  {
-    STMAKER_ASSIGN_OR_RETURN(VerifiedFile file,
-                             ReadModelFile(prefix, kModelSuffixes[1], options_.io_retry));
-    STMAKER_ASSIGN_OR_RETURN(
-        auto rows,
-        ParseCsvTable(file.content, {"from", "to", "count"}, file.path));
-    for (const std::vector<std::string>& row : rows) {
-      STMAKER_ASSIGN_OR_RETURN(int64_t from, ParseInt(row[0]));
-      STMAKER_ASSIGN_OR_RETURN(int64_t to, ParseInt(row[1]));
-      STMAKER_ASSIGN_OR_RETURN(double count, ParseDouble(row[2]));
-      miner.AddTransitionCount(from, to, count);
-    }
-  }
-
-  // Feature map.
-  auto map = std::make_unique<HistoricalFeatureMap>(registry_.size());
-  {
-    STMAKER_ASSIGN_OR_RETURN(VerifiedFile file,
-                             ReadModelFile(prefix, kModelSuffixes[2], options_.io_retry));
-    std::vector<std::string> header = {"from", "to", "count"};
-    for (const FeatureDef& def : registry_.defs()) {
-      header.push_back("sum_" + def.id);
-    }
-    STMAKER_ASSIGN_OR_RETURN(auto rows,
-                             ParseCsvTable(file.content, header, file.path));
-    for (const std::vector<std::string>& row : rows) {
-      STMAKER_ASSIGN_OR_RETURN(int64_t from, ParseInt(row[0]));
-      STMAKER_ASSIGN_OR_RETURN(int64_t to, ParseInt(row[1]));
-      STMAKER_ASSIGN_OR_RETURN(double count, ParseDouble(row[2]));
-      std::vector<double> sums(registry_.size(), 0.0);
-      for (size_t f = 0; f < registry_.size(); ++f) {
-        STMAKER_ASSIGN_OR_RETURN(sums[f], ParseDouble(row[3 + f]));
-      }
-      if (count <= 0) {
-        return Status::InvalidArgument(file.path +
-                                       ": non-positive feature map count");
-      }
-      map->AddAccumulated(from, to, sums, count);
-    }
-  }
-
-  // Significances (applied to the landmark index only on commit).
-  std::vector<std::pair<int64_t, double>> significances;
-  {
-    STMAKER_ASSIGN_OR_RETURN(VerifiedFile file,
-                             ReadModelFile(prefix, kModelSuffixes[3], options_.io_retry));
-    STMAKER_ASSIGN_OR_RETURN(
-        auto rows,
-        ParseCsvTable(file.content, {"landmark", "significance"}, file.path));
-    for (const std::vector<std::string>& row : rows) {
-      STMAKER_ASSIGN_OR_RETURN(int64_t landmark, ParseInt(row[0]));
-      STMAKER_ASSIGN_OR_RETURN(double significance, ParseDouble(row[1]));
-      if (landmark < 0 ||
-          static_cast<size_t>(landmark) >= landmarks_->size()) {
-        return Status::InvalidArgument(file.path +
-                                       ": significance landmark out of range");
-      }
-      significances.emplace_back(landmark, significance);
-    }
-  }
-
-  // Visit corpus (optional for legacy three-file models — but when the
-  // manifest lists it, its absence was already a hard kIoError above).
-  // Without it the model still serves summaries; TrainIncremental reports
-  // FailedPrecondition because there is no corpus to accumulate onto.
-  VisitCorpus visits;
-  {
-    // Retried like the required files: a transient read failure here would
-    // otherwise silently restore without the corpus (disabling
-    // TrainIncremental) instead of surfacing or recovering.
-    const std::string path = prefix + kModelSuffixes[4];
-    Result<std::string> content =
-        ReadFileToStringWithRetry(path, options_.io_retry);
-    if (content.ok()) {
-      STMAKER_ASSIGN_OR_RETURN(
-          auto rows,
-          ParseCsvTable(*content, {"traveler", "landmark", "count"}, path));
-      for (const std::vector<std::string>& row : rows) {
-        STMAKER_ASSIGN_OR_RETURN(int64_t traveler, ParseInt(row[0]));
-        STMAKER_ASSIGN_OR_RETURN(int64_t landmark, ParseInt(row[1]));
-        STMAKER_ASSIGN_OR_RETURN(double count, ParseDouble(row[2]));
-        if (landmark < 0 ||
-            static_cast<size_t>(landmark) >= landmarks_->size() ||
-            count <= 0) {
-          return Status::InvalidArgument(path + ": bad visits entry");
-        }
-        visits.AddVisitCount(traveler, landmark, count);
-      }
-    } else if (content.status().code() != StatusCode::kIoError ||
-               manifest_lists_visits) {
-      return content.status();
-    }
-  }
-
-  // Trajectory index (optional, advisory — see kIndexSuffix). Any failure
-  // here warns and serves the scan path; it never fails the load.
-  std::unique_ptr<TrajectoryIndex> trip_index;
-  {
-    static Counter& load_failures =
-        MetricsRegistry::Global().counter("index.load_failures");
-    const std::string path = prefix + kIndexSuffix;
-    if (index_damaged) {
-      load_failures.Increment();
-    } else if (FileExists(path)) {
-      Status loaded = [&]() -> Status {
-        STMAKER_ASSIGN_OR_RETURN(
-            std::string content,
-            ReadFileToStringWithRetry(path, options_.io_retry));
-        STMAKER_ASSIGN_OR_RETURN(
-            TrajectoryIndex index,
-            TrajectoryIndex::LoadFromString(content, registry_.size(), path));
-        trip_index = std::make_unique<TrajectoryIndex>(std::move(index));
-        return Status::OK();
-      }();
-      if (!loaded.ok()) {
-        std::fprintf(stderr,
-                     "warning: trajectory index unusable, similarity/region "
-                     "queries fall back to corpus scan: %s\n",
-                     loaded.ToString().c_str());
-        load_failures.Increment();
-      }
-    }
-  }
-
-  // Routing hierarchy (optional, advisory — see kHierarchySuffix). Any
-  // failure here warns and serves Dijkstra; it never fails the load.
-  std::unique_ptr<ContractionHierarchy> hierarchy;
-  {
-    static Counter& load_failures =
-        MetricsRegistry::Global().counter("router.ch.load_failures");
-    const std::string path = prefix + kHierarchySuffix;
-    if (hierarchy_damaged) {
-      load_failures.Increment();
-    } else if (FileExists(path)) {
-      Status loaded = [&]() -> Status {
-        STMAKER_ASSIGN_OR_RETURN(
-            std::string content,
-            ReadFileToStringWithRetry(path, options_.io_retry));
-        STMAKER_ASSIGN_OR_RETURN(
-            ContractionHierarchy ch,
-            ContractionHierarchy::LoadFromString(content, *network_, path));
-        hierarchy = std::make_unique<ContractionHierarchy>(std::move(ch));
-        return Status::OK();
-      }();
-      if (!loaded.ok()) {
-        std::fprintf(stderr,
-                     "warning: routing hierarchy unusable, falling back to "
-                     "Dijkstra: %s\n",
-                     loaded.ToString().c_str());
-        load_failures.Increment();
-      }
-    }
-  }
-
-  // --- Commit. ---------------------------------------------------------------
-  num_trained_ = loaded_num_trained;
-  trip_index_ = std::move(trip_index);
-  if (hierarchy != nullptr) {
-    road_hierarchy_ = std::move(hierarchy);
-    road_router_.AttachHierarchy(road_hierarchy_.get());
-  }
-  miner_ = std::move(miner);
-  feature_map_ = std::move(map);
-  visit_corpus_ = std::move(visits);
-  for (const auto& [landmark, significance] : significances) {
-    landmarks_->SetSignificance(landmark, significance);
-  }
-  analyzer_ = std::make_unique<IrregularityAnalyzer>(&registry_, &miner_,
-                                                     feature_map_.get());
   return Status::OK();
 }
 

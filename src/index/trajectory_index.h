@@ -81,7 +81,7 @@ struct TripDescriptor {
   std::vector<LandmarkId> labels;
   /// The ordered symbolic landmark sequence. Train-time only (popular-route
   /// mining replays transitions from it); not persisted, empty after a
-  /// LoadModel restore.
+  /// container restore.
   std::vector<LandmarkId> sequence;
   /// Mean of the normalized per-segment feature vectors (one entry per
   /// registry feature) — the Eq. 3 scoring vector.
@@ -161,15 +161,10 @@ class TrajectoryIndex {
                                                  double t1,
                                                  const RequestContext* ctx) const;
 
-  /// Serializes the options and descriptors (postings are derived state and
-  /// are rebuilt on load).
+  /// Serializes the options and descriptors as CSV (the human-readable
+  /// `_index.csv` of `stmaker_cli unpack`; postings are derived state and
+  /// are left out).
   std::string SaveToString() const;
-
-  /// Restores an index saved by SaveToString. `num_features` pins the
-  /// fingerprint dimension to the serving registry; `path` labels errors.
-  static Result<TrajectoryIndex> LoadFromString(const std::string& content,
-                                                size_t num_features,
-                                                const std::string& path);
 
  private:
   TrajectoryIndex() = default;

@@ -24,12 +24,6 @@ static_assert(std::endian::native == std::endian::little,
 
 namespace {
 
-/// Pads `out` with zero bytes up to the next kContainerAlignment boundary.
-void PadToAlignment(std::string* out) {
-  const size_t rem = out->size() % kContainerAlignment;
-  if (rem != 0) out->append(kContainerAlignment - rem, '\0');
-}
-
 std::string_view AsView(const void* p, size_t n) {
   return std::string_view(static_cast<const char*>(p), n);
 }
@@ -190,8 +184,10 @@ Result<std::shared_ptr<MappedContainer>> MappedContainer::Open(
   std::memcpy(&c->header_, c->data_, sizeof(ContainerHeader));
   const ContainerHeader& h = c->header_;
   if (std::memcmp(h.magic, kContainerMagic, sizeof(kContainerMagic)) != 0) {
-    return Status::InvalidArgument(path + ": bad magic, not a model "
-                                          "container");
+    return Status::InvalidArgument(
+        path + ": bad magic (want \"" +
+        std::string(kContainerMagic, sizeof(kContainerMagic)) +
+        "\"), not a model container");
   }
   if (h.format_version == 0 ||
       h.format_version > kContainerFormatVersion) {
@@ -264,16 +260,6 @@ bool MappedContainer::VerifyCrc(const SectionEntry& entry) const {
 
 std::string_view MappedContainer::Blob(const SectionEntry& entry) const {
   return AsView(data_ + entry.offset, static_cast<size_t>(entry.bytes));
-}
-
-bool IsContainerFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char magic[sizeof(kContainerMagic)];
-  const size_t n = std::fread(magic, 1, sizeof(magic), f);
-  std::fclose(f);
-  return n == sizeof(magic) &&
-         std::memcmp(magic, kContainerMagic, sizeof(magic)) == 0;
 }
 
 }  // namespace stmaker

@@ -128,31 +128,6 @@ void VisitCorpus::AddVisitCount(int64_t key, LandmarkId landmark,
   record.visits.emplace_back(landmark, count);
 }
 
-void VisitCorpus::Merge(const VisitCorpus& other) {
-  for (const Record& record : other.records_) {
-    if (record.key < 0) {
-      // Anonymous travellers stay distinct across shards: allocate the
-      // next master key in replay order, matching what a serial ingest
-      // would have assigned.
-      Record& fresh = RecordFor(-(++anonymous_counter_));
-      fresh.visits = record.visits;
-      continue;
-    }
-    Record& mine = RecordFor(record.key);
-    for (const auto& [lm, count] : record.visits) {
-      bool found = false;
-      for (auto& [existing, c] : mine.visits) {
-        if (existing == lm) {
-          c += count;
-          found = true;
-          break;
-        }
-      }
-      if (!found) mine.visits.emplace_back(lm, count);
-    }
-  }
-}
-
 SignificanceModel VisitCorpus::BuildModel(size_t num_landmarks) const {
   SignificanceModel model(records_.size(), num_landmarks);
   for (size_t t = 0; t < records_.size(); ++t) {

@@ -58,21 +58,18 @@ class SignificanceModel {
 /// visit counts across that traveller's trajectories.
 ///
 /// STMaker keeps a VisitCorpus as the durable training state (it is what
-/// SaveModel persists), shards it during parallel ingestion, and rebuilds
-/// a SignificanceModel from it whenever significances must be recomputed.
+/// the model container persists) and rebuilds a SignificanceModel from it
+/// whenever significances must be recomputed.
 /// Records carry the original traveller key; trajectories with no
 /// traveller id get a fresh synthetic negative key (-1, -2, ...) so they
 /// still contribute hub mass without conflating distinct vehicles.
 ///
 /// Determinism: records keep insertion order and per-record visit pairs
-/// keep first-visited order; Merge() replays `other`'s records in that
-/// order. Merging per-shard corpora of a trajectory list split into
-/// contiguous index blocks (shard 0 first) therefore reproduces exactly
-/// the corpus a serial pass would build — traveller numbering, anonymous
-/// key assignment, pair order, and (integral) counts alike.
+/// keep first-visited order, so the corpus depends only on the order of
+/// AddTrajectory calls — which STMaker makes the corpus order at every
+/// thread count by replaying ingested trips serially.
 ///
-/// Not internally synchronized; each ingestion shard owns a private
-/// corpus and the merge is serial.
+/// Not internally synchronized.
 class VisitCorpus {
  public:
   /// One traveller's accumulated visits.
@@ -87,9 +84,6 @@ class VisitCorpus {
   /// fresh anonymous record.
   void AddTrajectory(int64_t raw_traveler,
                      const std::vector<LandmarkId>& landmarks);
-
-  /// Folds `other` into this corpus (see class comment for ordering).
-  void Merge(const VisitCorpus& other);
 
   /// Adds `count` visits for the traveller with the given persistent key
   /// (deserialization hook; negative keys restore anonymous records and

@@ -60,11 +60,9 @@ constexpr long long kMaxDeadlineMs = 1'000'000'000;
 
 }  // namespace
 
-NdjsonService::NdjsonService(STMaker* maker,
-                             const std::vector<RawTrajectory>* corpus,
+NdjsonService::NdjsonService(ModelManager* manager,
                              const NdjsonServiceOptions& options)
-    : maker_(maker),
-      corpus_(corpus),
+    : manager_(manager),
       options_(options),
       registry_(MetricsRegistry::Global()),
       c_requests_(registry_.counter("serve.requests")),
@@ -80,34 +78,6 @@ NdjsonService::NdjsonService(STMaker* maker,
   // and logs the overrun. The library's own deadline checks normally fire
   // first; the watchdog is the backstop for code between check points.
   watchdog_ = std::thread([this] { WatchdogMain(); });
-}
-
-NdjsonService::NdjsonService(ModelManager* manager,
-                             const NdjsonServiceOptions& options)
-    : manager_(manager),
-      maker_(nullptr),
-      corpus_(nullptr),
-      options_(options),
-      registry_(MetricsRegistry::Global()),
-      c_requests_(registry_.counter("serve.requests")),
-      c_malformed_(registry_.counter("serve.malformed")),
-      c_stats_requests_(registry_.counter("serve.stats_requests")),
-      c_route_requests_(registry_.counter("serve.route_requests")),
-      c_reload_requests_(registry_.counter("serve.reload_requests")),
-      c_similar_requests_(registry_.counter("serve.similar_requests")),
-      c_query_requests_(registry_.counter("serve.query_requests")),
-      c_watchdog_cancelled_(registry_.counter("serve.watchdog_cancelled")),
-      pool_(options.threads) {
-  watchdog_ = std::thread([this] { WatchdogMain(); });
-}
-
-NdjsonService::PinnedModel NdjsonService::Pin() const {
-  if (manager_ == nullptr) {
-    return PinnedModel{maker_, corpus_, 0, nullptr};
-  }
-  std::shared_ptr<const ModelSnapshot> snapshot = manager_->Current();
-  return PinnedModel{snapshot->maker.get(), &snapshot->trajectories,
-                     snapshot->version, std::move(snapshot)};
 }
 
 NdjsonService::~NdjsonService() {
@@ -143,9 +113,9 @@ void NdjsonService::WatchdogMain() {
 
 // Mirrors the maker's LRU cache stats into gauges so a `stats` snapshot
 // carries them alongside the registry-native counters.
-void NdjsonService::MirrorCacheGauges(STMaker* maker) {
-  CacheStats cal = maker->CalibrationCacheStats();
-  CacheStats route = maker->RouteCacheStats();
+void NdjsonService::MirrorCacheGauges(const STMaker& maker) {
+  CacheStats cal = maker.CalibrationCacheStats();
+  CacheStats route = maker.RouteCacheStats();
   registry_.gauge("calibration.cache.evictions")
       .Set(static_cast<int64_t>(cal.evictions));
   registry_.gauge("popular_route.cache.evictions")
@@ -317,33 +287,22 @@ void NdjsonService::HandleStats(long id, const PinnedModel& model,
   // succeed even when the pool is saturated (it doubles as the
   // readiness/health check in the serve tests).
   c_stats_requests_.Increment();
-  MirrorCacheGauges(model.maker);
+  MirrorCacheGauges(*model->maker);
   registry_.gauge("process.uptime_ms")
       .Set(static_cast<int64_t>(
           std::chrono::duration_cast<std::chrono::milliseconds>(
               std::chrono::steady_clock::now() - g_process_start)
               .count()));
   std::string snapshot = registry_.Snapshot().ToJson();
-  if (model.snapshot != nullptr) {
-    respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"stats\": %s, "
-                      "\"model_version\": %llu}",
-                      id, snapshot.c_str(),
-                      static_cast<unsigned long long>(model.version)));
-  } else {
-    respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"stats\": %s}", id,
-                      snapshot.c_str()));
-  }
+  respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"stats\": %s, "
+                    "\"model_version\": %llu}",
+                    id, snapshot.c_str(),
+                    static_cast<unsigned long long>(model->version)));
 }
 
 void NdjsonService::HandleReload(long id, const FlatJson& fields,
                                  ResponseFn respond) {
   c_reload_requests_.Increment();
-  if (manager_ == nullptr) {
-    respond(ErrorResponse(
-        id, Status::FailedPrecondition(
-                "reload unavailable: this server runs a fixed model")));
-    return;
-  }
   std::string prefix;
   auto it = fields.strings.find("model_dir");
   if (it != fields.strings.end()) prefix = it->second;
@@ -397,7 +356,7 @@ void NdjsonService::HandleRoute(long id, const PinnedModel& model,
   route_ctx.max_node_expansions = static_cast<size_t>(ClampLL(
       field("max_expansions", static_cast<double>(options_.max_expansions)), 0,
       std::numeric_limits<long long>::max()));
-  Result<Path> path = model.maker->RoadRoute(
+  Result<Path> path = model->maker->RoadRoute(
       static_cast<NodeId>(ClampLL(field("src", -1),
                                   std::numeric_limits<long long>::min(),
                                   std::numeric_limits<long long>::max())),
@@ -409,16 +368,10 @@ void NdjsonService::HandleRoute(long id, const PinnedModel& model,
     respond(ErrorResponse(id, path.status()));
     return;
   }
-  if (model.snapshot != nullptr) {
-    respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"cost\": %.3f, "
-                      "\"hops\": %zu, \"model_version\": %llu}",
-                      id, path->cost, path->edges.size(),
-                      static_cast<unsigned long long>(model.version)));
-  } else {
-    respond(StrFormat(
-        "{\"id\": %ld, \"status\": \"ok\", \"cost\": %.3f, \"hops\": %zu}", id,
-        path->cost, path->edges.size()));
-  }
+  respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"cost\": %.3f, "
+                    "\"hops\": %zu, \"model_version\": %llu}",
+                    id, path->cost, path->edges.size(),
+                    static_cast<unsigned long long>(model->version)));
 }
 
 void NdjsonService::HandleSummarize(long id, PinnedModel model,
@@ -429,11 +382,11 @@ void NdjsonService::HandleSummarize(long id, PinnedModel model,
     return it == fields.end() ? fallback : it->second;
   };
   double trip_value = field("trip", 0);
-  if (trip_value < 0 || trip_value >= model.corpus->size()) {
+  if (trip_value < 0 || trip_value >= model->trajectories.size()) {
     respond(ErrorResponse(
         id, Status::OutOfRange(StrFormat("trip %.0f out of range (corpus has "
                                          "%zu)",
-                                         trip_value, model.corpus->size()))));
+                                         trip_value, model->trajectories.size()))));
     return;
   }
   size_t trip = static_cast<size_t>(trip_value);
@@ -495,21 +448,14 @@ void NdjsonService::HandleSummarize(long id, PinnedModel model,
   bool admitted = pool_.TrySubmit(
       [this, id, trip, options, ctx, token, trace, respond, model] {
         Result<Summary> summary =
-            model.maker->Summarize((*model.corpus)[trip], options, &ctx);
+            model->maker->Summarize(model->trajectories[trip], options, &ctx);
         if (summary.ok()) {
-          if (model.snapshot != nullptr) {
-            respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", "
-                              "\"partitions\": %zu, \"text\": \"%s\", "
-                              "\"model_version\": %llu}",
-                              id, summary->partitions.size(),
-                              JsonEscape(summary->text).c_str(),
-                              static_cast<unsigned long long>(model.version)));
-          } else {
-            respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", "
-                              "\"partitions\": %zu, \"text\": \"%s\"}",
-                              id, summary->partitions.size(),
-                              JsonEscape(summary->text).c_str()));
-          }
+          respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", "
+                            "\"partitions\": %zu, \"text\": \"%s\", "
+                            "\"model_version\": %llu}",
+                            id, summary->partitions.size(),
+                            JsonEscape(summary->text).c_str(),
+                            static_cast<unsigned long long>(model->version)));
         } else {
           respond(ErrorResponse(id, summary.status()));
         }
@@ -607,11 +553,11 @@ void NdjsonService::HandleSimilar(long id, PinnedModel model,
     return;
   }
   double trip_value = field("trip", 0);
-  if (trip_value < 0 || trip_value >= model.corpus->size()) {
+  if (trip_value < 0 || trip_value >= model->trajectories.size()) {
     respond(ErrorResponse(
         id, Status::OutOfRange(StrFormat("trip %.0f out of range (corpus has "
                                          "%zu)",
-                                         trip_value, model.corpus->size()))));
+                                         trip_value, model->trajectories.size()))));
     return;
   }
   size_t trip = static_cast<size_t>(trip_value);
@@ -621,7 +567,7 @@ void NdjsonService::HandleSimilar(long id, PinnedModel model,
       id, fields, respond,
       [id, trip, k, respond, model](const RequestContext& ctx) {
         Result<std::vector<TrajectoryIndex::Match>> matches =
-            model.maker->SimilarTrips(*model.corpus, trip, k, &ctx);
+            model->maker->SimilarTrips(model->trajectories, trip, k, &ctx);
         if (!matches.ok()) {
           respond(ErrorResponse(id, matches.status()));
           return;
@@ -632,16 +578,10 @@ void NdjsonService::HandleSimilar(long id, PinnedModel model,
           items += StrFormat("{\"trip\": %u, \"score\": %.6f}", m.trip,
                              m.score);
         }
-        if (model.snapshot != nullptr) {
-          respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"trip\": %zu, "
-                            "\"results\": [%s], \"model_version\": %llu}",
-                            id, trip, items.c_str(),
-                            static_cast<unsigned long long>(model.version)));
-        } else {
-          respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"trip\": %zu, "
-                            "\"results\": [%s]}",
-                            id, trip, items.c_str()));
-        }
+        respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"trip\": %zu, "
+                          "\"results\": [%s], \"model_version\": %llu}",
+                          id, trip, items.c_str(),
+                          static_cast<unsigned long long>(model->version)));
       });
 }
 
@@ -682,7 +622,7 @@ void NdjsonService::HandleQuery(long id, PinnedModel model,
       id, fields.numbers, respond,
       [id, box, window, respond, model](const RequestContext& ctx) {
         Result<std::vector<uint32_t>> trips =
-            model.maker->QueryRegion(*model.corpus, box, window, &ctx);
+            model->maker->QueryRegion(model->trajectories, box, window, &ctx);
         if (!trips.ok()) {
           respond(ErrorResponse(id, trips.status()));
           return;
@@ -692,16 +632,10 @@ void NdjsonService::HandleQuery(long id, PinnedModel model,
           if (!items.empty()) items += ", ";
           items += StrFormat("%u", t);
         }
-        if (model.snapshot != nullptr) {
-          respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"count\": "
-                            "%zu, \"trips\": [%s], \"model_version\": %llu}",
-                            id, trips->size(), items.c_str(),
-                            static_cast<unsigned long long>(model.version)));
-        } else {
-          respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"count\": "
-                            "%zu, \"trips\": [%s]}",
-                            id, trips->size(), items.c_str()));
-        }
+        respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"count\": "
+                          "%zu, \"trips\": [%s], \"model_version\": %llu}",
+                          id, trips->size(), items.c_str(),
+                          static_cast<unsigned long long>(model->version)));
       });
 }
 
@@ -727,7 +661,7 @@ void NdjsonService::HandleLine(const std::string& line, ResponseFn respond) {
   }
   // Every non-admin request pins its model exactly once, here, and keeps
   // that snapshot for its whole lifetime.
-  PinnedModel model = Pin();
+  PinnedModel model = manager_->Current();
   if (numbers.count("stats") != 0) {
     HandleStats(id, model, respond);
     return;

@@ -33,13 +33,12 @@
 /// ("ok"/"deadline_exceeded"/"resource_exhausted"/...); overload is shed
 /// deterministically at admission with "resource_exhausted".
 ///
-/// Model lifecycle: constructed over a ModelManager, the service pins the
-/// current ModelSnapshot once per request at admission (Pin()) and carries
-/// that shared_ptr through the request's whole lifetime — a concurrent
-/// snapshot swap can never leave a request reading a half-loaded or
-/// mixed-version model, and every "ok" response echoes the
-/// `model_version` it was served from. The legacy fixed-model constructor
-/// (bench, unit tests) skips pinning and omits `model_version`.
+/// Model lifecycle: the service serves from a ModelManager. It pins the
+/// current ModelSnapshot once per request at admission and carries that
+/// shared_ptr through the request's whole lifetime — a concurrent snapshot
+/// swap can never leave a request reading a half-loaded or mixed-version
+/// model, and every "ok" response echoes the `model_version` it was
+/// served from.
 
 #include <cstdio>
 #include <functional>
@@ -82,15 +81,8 @@ class NdjsonService {
   /// (summaries) — transports must tolerate both.
   using ResponseFn = std::function<void(std::string line)>;
 
-  /// `maker` must be trained/loaded; `corpus` backs the "trip" field.
-  /// Neither is owned; both must outlive the service. This fixed-model
-  /// form serves one immutable model: `reload` requests are rejected with
-  /// failed_precondition and responses carry no `model_version`.
-  NdjsonService(STMaker* maker, const std::vector<RawTrajectory>* corpus,
-                const NdjsonServiceOptions& options);
-
-  /// Snapshot-serving form: every request pins `manager->Current()` at
-  /// admission and the `reload` admin verb is live. `manager` must be
+  /// Every request pins `manager->Current()` at admission, and the
+  /// `reload` admin verb is live. `manager` must be
   /// Initialize()d already and must outlive the service's in-flight
   /// requests; reload callbacks the manager may still fire after this
   /// service is gone touch only the transport's ResponseFn (safe — see
@@ -155,21 +147,13 @@ class NdjsonService {
     CancelSource cancel;
   };
 
-  /// The model one request is served from, resolved once at admission.
-  /// `snapshot` (null in fixed-model mode) keeps the whole bundle alive
-  /// for the request's lifetime — the pin that makes the swap safe.
-  struct PinnedModel {
-    STMaker* maker = nullptr;
-    const std::vector<RawTrajectory>* corpus = nullptr;
-    uint64_t version = 0;
-    std::shared_ptr<const ModelSnapshot> snapshot;
-  };
-
-  /// Resolves the serving model for one request (see PinnedModel).
-  PinnedModel Pin() const;
+  /// The snapshot one request is served from, resolved once at admission;
+  /// holding it keeps the whole bundle alive for the request's lifetime —
+  /// the pin that makes the swap safe.
+  using PinnedModel = std::shared_ptr<const ModelSnapshot>;
 
   void WatchdogMain();
-  void MirrorCacheGauges(STMaker* maker);
+  void MirrorCacheGauges(const STMaker& maker);
   void HandleStats(long id, const PinnedModel& model,
                    const ResponseFn& respond);
   void HandleRoute(long id, const PinnedModel& model,
@@ -194,9 +178,7 @@ class NdjsonService {
                     const ResponseFn& respond,
                     std::function<void(const RequestContext&)> body);
 
-  ModelManager* manager_ = nullptr;  ///< null in fixed-model mode
-  STMaker* maker_;
-  const std::vector<RawTrajectory>* corpus_;
+  ModelManager* manager_;
   NdjsonServiceOptions options_;
   std::FILE* trace_log_ = nullptr;
   std::mutex trace_mu_;  ///< trace-log lines never interleave

@@ -2,7 +2,7 @@
 #define STMAKER_ROADNET_SHORTEST_PATH_H_
 
 /// \file
-/// ShortestPathRouter: Dijkstra, A*, and Bellman–Ford point queries,
+/// ShortestPathRouter: Dijkstra and Bellman–Ford point queries,
 /// with transparent contraction-hierarchy acceleration when attached.
 
 #include <functional>
@@ -85,17 +85,6 @@ class ShortestPathRouter {
   ///   out-of-range ids, or a context error.
   Result<Path> Route(NodeId src, NodeId dst, const EdgeCostFn& cost = nullptr,
                      const RequestContext* ctx = nullptr) const;
-
-  /// A* with a straight-line admissible heuristic. `heuristic_scale` maps
-  /// meters of bird distance to cost units and must keep the heuristic
-  /// admissible for the cost function in use: for LengthCost use 1.0; for
-  /// TravelTimeCost use 3.6 / max-speed-kmh (seconds per meter at the
-  /// fastest grade). A scale of 0 degenerates to Dijkstra. Same result as
-  /// Route() whenever the heuristic is admissible, explored-node count
-  /// permitting. Honors the context like Route().
-  Result<Path> RouteAStar(NodeId src, NodeId dst, const EdgeCostFn& cost,
-                          double heuristic_scale,
-                          const RequestContext* ctx = nullptr) const;
 
   /// Bellman–Ford reference implementation (O(V·E)); test oracle only.
   Result<Path> RouteBellmanFord(NodeId src, NodeId dst,

@@ -5,11 +5,11 @@
 # storms, and reload requests (good, bad, and in-place) under open-loop
 # load, and checks the lifecycle invariants: no crash, exactly one reply
 # per accepted request, model_version never torn, rollback on injected
-# corruption, SIGTERM drain exit 0. A failing seed prints the exact repro
-# command plus the kept server stderr path. The sweep runs twice: once
-# over the CSV model prefix, once over the packed binary container (with
-# a truncated container as the bad-reload target), so the mmap-backed
-# snapshot path faces the same storms as the heap-backed one.
+# corruption, SIGTERM drain exit 0. The model is the mmap-served container
+# (docs/FORMAT.md) and the bad-reload target is a truncated copy of it, so
+# a rejected reload must leave the old snapshot serving off its
+# still-mapped file, and a schedule that arms the container/map failpoint
+# must degrade to the heap-read fallback — never a torn snapshot.
 # Registered with ctest; $1 = chaos binary, $2 = stmaker_cli binary.
 set -euo pipefail
 
@@ -21,12 +21,11 @@ source "$(dirname "$0")/serve_lib.sh"
 echo "== gen + train =="
 serve_world
 
-echo "== stage a corrupt model (truncated manifest-covered section) =="
-BAD="$DIR/badmodel"
-for f in "$DIR"/model_*.csv; do
-  cp "$f" "$DIR/badmodel${f#"$DIR"/model}"
-done
-head -c 64 "$DIR/model_feature_map.csv" > "$BAD"_feature_map.csv
+echo "== stage a corrupt model (truncated container) =="
+# Truncation is guaranteed corruption: the header's file_bytes no longer
+# matches, so MappedContainer::Open rejects the candidate outright.
+BAD="$DIR/badmodel.stm"
+head -c 3000 "$DIR/model.stm" > "$BAD"
 
 FAILED=()
 for seed in $SEEDS; do
@@ -34,30 +33,9 @@ for seed in $SEEDS; do
   # 40 qps stays well inside capacity even on a TSan build (the point is
   # lifecycle invariants under faults, not saturation — the SLO bench owns
   # that); the loadgen leg must see zero unanswered requests.
-  if ! "$CHAOS" --cli "$CLI" --dir "$DIR" --model "$DIR/model" \
+  if ! "$CHAOS" --cli "$CLI" --dir "$DIR" --model "$DIR/model.stm" \
        --bad_model "$BAD" --seed "$seed" --duration_s 2 --qps 40; then
     FAILED+=("$seed")
-  fi
-done
-
-echo "== pack the model into a binary container + stage a corrupt one =="
-"$CLI" pack --dir "$DIR" --model "$DIR/model" --out "$DIR/model.stm"
-# Truncation is guaranteed corruption: the header's file_bytes no longer
-# matches, so MappedContainer::Open rejects the candidate outright.
-head -c 3000 "$DIR/model.stm" > "$DIR/badmodel.stm"
-
-CSEEDS="${STMAKER_CHAOS_CONTAINER_SEEDS:-21 22 23}"
-for seed in $CSEEDS; do
-  echo "== chaos (container model) seed $seed =="
-  # Same invariants over container-backed snapshots (docs/FORMAT.md): a
-  # reload rejected on the truncated container must leave the old snapshot
-  # serving off its still-mapped file, and a schedule that arms the
-  # container/map failpoint must degrade to the heap-read fallback —
-  # never a torn snapshot, never a crash.
-  if ! "$CHAOS" --cli "$CLI" --dir "$DIR" --model "$DIR/model.stm" \
-       --bad_model "$DIR/badmodel.stm" --seed "$seed" --duration_s 2 \
-       --qps 40; then
-    FAILED+=("container:$seed")
   fi
 done
 
@@ -65,13 +43,12 @@ if [[ ${#FAILED[@]} -gt 0 ]]; then
   echo "FAIL: chaos seeds ${FAILED[*]} failed."
   echo "Repro a single seed outside ctest with:"
   for seed in "${FAILED[@]}"; do
-    echo "  $CHAOS --cli $CLI --dir <datadir> --model <datadir>/model" \
-         "--bad_model <corrupt-prefix> --seed $seed"
+    echo "  $CHAOS --cli $CLI --dir <datadir> --model <datadir>/model.stm" \
+         "--bad_model <truncated-copy>.stm --seed $seed"
   done
   echo "(regenerate <datadir> with: $CLI gen --dir <datadir> --seed 5" \
        "--blocks 10 --trips 80 --pois 100 && $CLI train --dir <datadir>" \
-       "--model <datadir>/model; container: seeds prefixed 'container:'" \
-       "ran against <datadir>/model.stm from $CLI pack)"
+       "--model <datadir>/model.stm)"
   exit 1
 fi
 

@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for stmaker_cli: generate a dataset, train and
-# persist a model, summarize with and without the model, and run the
+# write the model container, summarize with and without it, and run the
 # corpus-level commands. Registered with ctest; $1 is the path to the
 # stmaker_cli binary.
 set -euo pipefail
 
 CLI="$1"
-DIR="$(mktemp -d)"
-trap 'rm -rf "$DIR"' EXIT
+source "$(dirname "$0")/serve_lib.sh"
 
 echo "== gen =="
 "$CLI" gen --dir "$DIR" --seed 5 --blocks 10 --trips 150 --pois 120
@@ -16,25 +15,28 @@ for f in network_nodes.csv network_edges.csv pois.csv trajectories.csv; do
   [[ -s "$DIR/$f" ]] || { echo "missing $f"; exit 1; }
 done
 
-echo "== train =="
-"$CLI" train --dir "$DIR" --model "$DIR/model"
-for f in model_meta.csv model_transitions.csv model_feature_map.csv \
-         model_significance.csv model_visits.csv model_ch.csv; do
-  [[ -s "$DIR/$f" ]] || { echo "missing $f"; exit 1; }
-done
+echo "== train writes one model container =="
+"$CLI" train --dir "$DIR" --model "$DIR/model.stm"
+[[ "$(head -c 8 "$DIR/model.stm")" == "STMKCTR1" ]] || {
+  echo "train did not write a model container"; exit 1; }
 
-echo "== train --threads 4 writes an identical model =="
-"$CLI" train --dir "$DIR" --model "$DIR/model_mt" --threads 4
-for f in meta transitions feature_map significance visits ch; do
-  cmp "$DIR/model_${f}.csv" "$DIR/model_mt_${f}.csv" || {
-    echo "model_${f}.csv differs between 1 and 4 threads"; exit 1; }
+echo "== train --threads 4 writes a byte-identical container =="
+"$CLI" train --dir "$DIR" --model "$DIR/model_mt.stm" --threads 4
+cmp "$DIR/model.stm" "$DIR/model_mt.stm" || {
+  echo "model.stm differs between 1 and 4 threads"; exit 1; }
+
+echo "== unpack dumps the container as CSV =="
+"$CLI" unpack --model "$DIR/model.stm" --out "$DIR/dump"
+for f in meta transitions feature_map significance visits index ch; do
+  [[ -s "$DIR/dump_${f}.csv" ]] || { echo "missing dump_${f}.csv"; exit 1; }
 done
 
 echo "== train --router dijkstra skips the routing hierarchy =="
-"$CLI" train --dir "$DIR" --model "$DIR/model_plain" --router dijkstra
-[[ ! -e "$DIR/model_plain_ch.csv" ]] || {
+"$CLI" train --dir "$DIR" --model "$DIR/model_plain.stm" --router dijkstra
+"$CLI" unpack --model "$DIR/model_plain.stm" --out "$DIR/plain"
+[[ -s "$DIR/plain_meta.csv" && ! -e "$DIR/plain_ch.csv" ]] || {
   echo "--router dijkstra still wrote a hierarchy"; exit 1; }
-rc=0; "$CLI" train --dir "$DIR" --model "$DIR/x" --router hc 2>/dev/null || rc=$?
+rc=0; "$CLI" train --dir "$DIR" --model "$DIR/x.stm" --router hc 2>/dev/null || rc=$?
 [[ $rc -eq 3 ]] || { echo "--router hc: want exit 3, got $rc"; exit 1; }
 
 echo "== summarize (trained inline) =="
@@ -43,7 +45,7 @@ echo "$OUT1"
 [[ "$OUT1" == "The car started from"* ]] || { echo "bad summary"; exit 1; }
 
 echo "== summarize (from model) =="
-OUT2="$("$CLI" summarize --dir "$DIR" --trip 3 --model "$DIR/model" --k 2)"
+OUT2="$("$CLI" summarize --dir "$DIR" --trip 3 --model "$DIR/model.stm" --k 2)"
 echo "$OUT2"
 [[ "$OUT2" == "The car started from"* ]] || { echo "bad summary"; exit 1; }
 
@@ -52,7 +54,7 @@ OUT3="$("$CLI" summarize --dir "$DIR" --trip 3 --threads 4)"
 [[ "$OUT3" == "$OUT1" ]] || { echo "--threads changed the summary"; exit 1; }
 
 echo "== summarize --json =="
-JSON="$("$CLI" summarize --dir "$DIR" --trip 3 --model "$DIR/model" --json)"
+JSON="$("$CLI" summarize --dir "$DIR" --trip 3 --model "$DIR/model.stm" --json)"
 [[ "$JSON" == "{"* && "$JSON" == *"\"partitions\""* ]] || {
   echo "bad json"; exit 1; }
 
@@ -94,11 +96,27 @@ grep -q "trajectories.csv" "$BROKEN/stderr.txt" || {
   echo "stderr does not name the bad file"; exit 1; }
 rm -rf "$BROKEN"
 
-# Corrupted model checksum -> 6 (failed precondition).
-printf 'x' >> "$DIR/model_transitions.csv"
+# Corrupted model (a flipped byte in the required transitions section,
+# SectionType 12) -> 6 (failed precondition).
+flip_section_byte "$DIR/model.stm" "$DIR/bad.stm" 12
 rc=0
-"$CLI" summarize --dir "$DIR" --trip 3 --model "$DIR/model" 2>/dev/null \
+"$CLI" summarize --dir "$DIR" --trip 3 --model "$DIR/bad.stm" 2>/dev/null \
   || rc=$?
 [[ $rc -eq 6 ]] || { echo "corrupted model: want exit 6, got $rc"; exit 1; }
+
+# A --model that is not a container (here a dataset CSV) -> 3 (invalid
+# argument), naming the container magic, for summarize and serve alike —
+# never a crash and never a silent fallback to training.
+for cmd in summarize serve; do
+  rc=0
+  OUT="$("$CLI" "$cmd" --dir "$DIR" --trip 3 --model "$DIR/pois.csv" \
+    < /dev/null 2> "$DIR/notstm.err")" || rc=$?
+  [[ $rc -eq 3 ]] || {
+    echo "$cmd --model CSV: want exit 3, got $rc"; cat "$DIR/notstm.err"; exit 1; }
+  [[ -z "$OUT" ]] || { echo "$cmd --model CSV produced output"; exit 1; }
+  grep -q 'bad magic (want "STMKCTR1")' "$DIR/notstm.err" || {
+    echo "$cmd --model CSV: error does not name the container magic"
+    cat "$DIR/notstm.err"; exit 1; }
+done
 
 echo "cli_test OK"

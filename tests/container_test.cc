@@ -34,7 +34,9 @@
 namespace stmaker {
 namespace {
 
+using ::stmaker::testing::FlipSectionByte;
 using ::stmaker::testing::GetTestWorld;
+using ::stmaker::testing::LoadContainerModel;
 using ::stmaker::testing::TestWorld;
 
 std::string TempPrefix(const std::string& name) {
@@ -47,14 +49,6 @@ ContainerHeader HeaderOf(const std::string& bytes) {
   ContainerHeader header{};
   std::memcpy(&header, bytes.data(), sizeof(header));
   return header;
-}
-
-std::vector<SectionEntry> TableOf(const std::string& bytes) {
-  const ContainerHeader header = HeaderOf(bytes);
-  std::vector<SectionEntry> table(header.section_count);
-  std::memcpy(table.data(), bytes.data() + sizeof(ContainerHeader),
-              table.size() * sizeof(SectionEntry));
-  return table;
 }
 
 /// Re-seals the header CRC after a deliberate header/table patch, so the
@@ -73,20 +67,6 @@ void ResealHeaderCrc(std::string* bytes) {
               sizeof(crc));
 }
 
-/// Flips one payload byte of the first section of `type`. The section CRC
-/// in the table is left as-is: that is the torn-write / bit-rot scenario
-/// the per-section CRCs exist to catch.
-void FlipPayloadByte(std::string* bytes, SectionType type) {
-  for (const SectionEntry& entry : TableOf(*bytes)) {
-    if (entry.type == static_cast<uint32_t>(type)) {
-      ASSERT_GT(entry.bytes, 0u);
-      (*bytes)[entry.offset + entry.bytes / 2] ^= 0x40;
-      return;
-    }
-  }
-  FAIL() << "container has no section of type " << static_cast<int>(type);
-}
-
 std::string MutatedCopy(const std::string& good_path, const std::string& name,
                         void (*mutate)(std::string*)) {
   Result<std::string> bytes = ReadFileToString(good_path);
@@ -99,18 +79,16 @@ std::string MutatedCopy(const std::string& good_path, const std::string& name,
 
 // --- shared fixture world ---------------------------------------------------
 
-/// One CSV data dir + a trained model in both formats, built once per test
-/// binary. The model is trained on the world read *back from CSV* (the CSV
-/// round trip quantizes coordinates) so the ModelManager tests can load
-/// the same world the hierarchy was contracted on; the container itself
-/// stores raw doubles and has no such quantization.
+/// One CSV data dir + a trained model container, built once per test
+/// binary. The model is trained on the world read *back from CSV*, exactly
+/// as `stmaker_cli train` does; the container stores that world's raw
+/// doubles.
 struct ContainerWorld {
   std::string dir;             ///< gen-style data dir (world CSVs).
   RoadNetwork* network;        ///< CSV-roundtripped network (lives forever).
   LandmarkIndex* landmarks;    ///< With trained significances.
   std::vector<RawTrajectory> raws;
   STMaker* maker;              ///< Trained, with hierarchy + trip index.
-  std::string csv_prefix;      ///< SaveModel output.
   std::string container_path;  ///< SaveModelContainer output.
 };
 
@@ -143,47 +121,26 @@ const ContainerWorld& GetContainerWorld() {
         new STMaker(c->network, c->landmarks, FeatureRegistry::BuiltIn());
     STMAKER_CHECK(c->maker->Train(c->raws).ok());
     STMAKER_CHECK(c->maker->BuildRoadHierarchy().ok());
-    c->csv_prefix = c->dir + "/model";
     c->container_path = c->dir + "/model.stm";
-    STMAKER_CHECK(c->maker->SaveModel(c->csv_prefix).ok());
     STMAKER_CHECK(c->maker->SaveModelContainer(c->container_path).ok());
     return c;
   }();
   return cw;
 }
 
-/// Everything a container-served model needs, with the mapping pinned
-/// first so it outlives the network views (same order as ModelSnapshot).
-/// Heap-allocated because the maker holds raw pointers into the struct —
-/// the bundle's address must never change once the maker exists.
-struct LoadedContainerModel {
-  std::shared_ptr<MappedContainer> container;
-  RoadNetwork network;
-  std::unique_ptr<LandmarkIndex> landmarks;
-  std::unique_ptr<STMaker> maker;
-};
-
-Result<std::unique_ptr<LoadedContainerModel>> LoadContainerModel(
-    const std::string& path, int threads = 1) {
-  auto m = std::make_unique<LoadedContainerModel>();
-  STMAKER_ASSIGN_OR_RETURN(m->container, MappedContainer::Open(path));
-  STMAKER_ASSIGN_OR_RETURN(m->network,
-                           LoadNetworkFromContainer(*m->container));
-  STMAKER_ASSIGN_OR_RETURN(
-      LandmarkIndex landmarks,
-      LoadLandmarksFromContainer(*m->container, m->network));
-  m->landmarks = std::make_unique<LandmarkIndex>(std::move(landmarks));
-  STMakerOptions options;
-  options.num_threads = threads;
-  m->maker = std::make_unique<STMaker>(&m->network, m->landmarks.get(),
-                                       FeatureRegistry::BuiltIn(), options);
-  STMAKER_RETURN_IF_ERROR(m->maker->LoadModelContainer(*m->container));
-  return m;
-}
-
 class ContainerTest : public ::testing::Test {
  protected:
   ContainerTest() : cw_(GetContainerWorld()) {}
+
+  /// A copy of the fixture container with one payload byte flipped in the
+  /// first section of `type`; the section CRC in the table is left as-is,
+  /// which is the torn-write / bit-rot case per-section CRCs exist for.
+  std::string FlippedCopy(const std::string& name, SectionType type) const {
+    const std::string path = TempPrefix(name);
+    STMAKER_CHECK(FlipSectionByte(cw_.container_path, path, type).ok());
+    return path;
+  }
+
   const ContainerWorld& cw_;
 };
 
@@ -192,8 +149,7 @@ class ContainerTest : public ::testing::Test {
 TEST_F(ContainerTest, SaveIsDeterministicAndLoadSaveIsIdentity) {
   // Identical model state -> byte-identical file, twice over: a second
   // save of the same maker, and a save of a container-loaded maker, must
-  // both reproduce the original image exactly (the CLI pins the same
-  // property end-to-end through pack -> unpack -> pack).
+  // both reproduce the original image exactly.
   Result<std::string> original = ReadFileToString(cw_.container_path);
   ASSERT_TRUE(original.ok());
 
@@ -203,8 +159,7 @@ TEST_F(ContainerTest, SaveIsDeterministicAndLoadSaveIsIdentity) {
   ASSERT_TRUE(again_bytes.ok());
   EXPECT_TRUE(*original == *again_bytes) << "re-save is not deterministic";
 
-  Result<std::unique_ptr<LoadedContainerModel>> loaded =
-      LoadContainerModel(cw_.container_path);
+  auto loaded = LoadContainerModel(cw_.container_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const std::string resaved = TempPrefix("container_resaved.stm");
   ASSERT_TRUE((*loaded)->maker->SaveModelContainer(resaved).ok());
@@ -214,16 +169,13 @@ TEST_F(ContainerTest, SaveIsDeterministicAndLoadSaveIsIdentity) {
       << "load -> save did not reproduce the container";
 }
 
-TEST_F(ContainerTest, CsvAndContainerLoadedModelsSummarizeIdentically) {
-  // Golden parity across formats *and* thread counts: the CSV-loaded
-  // model at 1 thread and the container-loaded model at 1 and 4 threads
-  // must produce byte-identical summaries over the corpus.
-  STMaker csv_maker(cw_.network, cw_.landmarks, FeatureRegistry::BuiltIn());
-  ASSERT_TRUE(csv_maker.LoadModel(cw_.csv_prefix).ok());
-
-  Result<std::unique_ptr<LoadedContainerModel>> ctr1 = LoadContainerModel(cw_.container_path, 1);
+TEST_F(ContainerTest, TrainedAndContainerLoadedModelsSummarizeIdentically) {
+  // Golden parity across the save/load boundary *and* thread counts: the
+  // in-process trained model and the container-loaded model at 1 and 4
+  // threads must produce byte-identical summaries over the corpus.
+  auto ctr1 = LoadContainerModel(cw_.container_path, 1);
   ASSERT_TRUE(ctr1.ok()) << ctr1.status().ToString();
-  Result<std::unique_ptr<LoadedContainerModel>> ctr4 = LoadContainerModel(cw_.container_path, 4);
+  auto ctr4 = LoadContainerModel(cw_.container_path, 4);
   ASSERT_TRUE(ctr4.ok()) << ctr4.status().ToString();
   EXPECT_TRUE((*ctr1)->maker->has_road_hierarchy());
   EXPECT_TRUE((*ctr1)->maker->has_trajectory_index());
@@ -231,7 +183,7 @@ TEST_F(ContainerTest, CsvAndContainerLoadedModelsSummarizeIdentically) {
 
   std::span<const RawTrajectory> batch(cw_.raws.data(),
                                        std::min<size_t>(cw_.raws.size(), 40));
-  std::vector<Result<Summary>> expect = csv_maker.SummarizeBatch(batch);
+  std::vector<Result<Summary>> expect = cw_.maker->SummarizeBatch(batch);
   std::vector<Result<Summary>> got1 = (*ctr1)->maker->SummarizeBatch(batch);
   std::vector<Result<Summary>> got4 = (*ctr4)->maker->SummarizeBatch(batch);
   ASSERT_EQ(expect.size(), got1.size());
@@ -254,7 +206,9 @@ TEST_F(ContainerTest, OpenRejectsBadMagic) {
   Result<std::shared_ptr<MappedContainer>> opened = MappedContainer::Open(path);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(IsContainerFile(path));
+  EXPECT_NE(opened.status().message().find("bad magic (want \"STMKCTR1\")"),
+            std::string::npos)
+      << opened.status().ToString();
 }
 
 TEST_F(ContainerTest, OpenRejectsNewerFormatVersion) {
@@ -322,13 +276,10 @@ TEST_F(ContainerTest, OpenRejectsMisalignedSection) {
 TEST_F(ContainerTest, BitFlipInRequiredSectionFailsTheLoad) {
   // Open() succeeds — it validates structure only, never payloads — and
   // the per-section CRC check fails the *load* with kFailedPrecondition,
-  // exactly like a CSV model with a bad manifest checksum.
+  // leaving the maker untrained.
   const std::string path =
-      MutatedCopy(cw_.container_path, "container_badfeat.stm",
-                  [](std::string* bytes) {
-                    FlipPayloadByte(bytes, SectionType::kFeatureEdges);
-                  });
-  Result<std::unique_ptr<LoadedContainerModel>> loaded = LoadContainerModel(path);
+      FlippedCopy("container_badfeat.stm", SectionType::kFeatureEdges);
+  auto loaded = LoadContainerModel(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition)
       << loaded.status().ToString();
@@ -336,10 +287,7 @@ TEST_F(ContainerTest, BitFlipInRequiredSectionFailsTheLoad) {
 
 TEST_F(ContainerTest, BitFlipInNetworkSectionFailsTheNetworkLoad) {
   const std::string path =
-      MutatedCopy(cw_.container_path, "container_badnodes.stm",
-                  [](std::string* bytes) {
-                    FlipPayloadByte(bytes, SectionType::kNodes);
-                  });
+      FlippedCopy("container_badnodes.stm", SectionType::kNodes);
   Result<std::shared_ptr<MappedContainer>> opened = MappedContainer::Open(path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   Result<RoadNetwork> network = LoadNetworkFromContainer(**opened);
@@ -348,18 +296,14 @@ TEST_F(ContainerTest, BitFlipInNetworkSectionFailsTheNetworkLoad) {
 }
 
 TEST_F(ContainerTest, DamagedHierarchySectionIsAdvisory) {
-  // CH damage degrades to Dijkstra with a warning and a counter — the
-  // same advisory policy as a damaged _ch.csv — and everything else in
-  // the container still serves.
+  // CH damage degrades to Dijkstra with a warning and a counter, and
+  // everything else in the container still serves.
   const std::string path =
-      MutatedCopy(cw_.container_path, "container_badch.stm",
-                  [](std::string* bytes) {
-                    FlipPayloadByte(bytes, SectionType::kChArcs);
-                  });
+      FlippedCopy("container_badch.stm", SectionType::kChArcs);
   Counter& failures = MetricsRegistry::Global().counter(
       "router.ch.load_failures");
   const uint64_t base = failures.value();
-  Result<std::unique_ptr<LoadedContainerModel>> loaded = LoadContainerModel(path);
+  auto loaded = LoadContainerModel(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_FALSE((*loaded)->maker->has_road_hierarchy());
   EXPECT_TRUE((*loaded)->maker->has_trajectory_index());
@@ -373,14 +317,11 @@ TEST_F(ContainerTest, DamagedHierarchySectionIsAdvisory) {
 
 TEST_F(ContainerTest, DamagedTripIndexSectionIsAdvisory) {
   const std::string path =
-      MutatedCopy(cw_.container_path, "container_badcells.stm",
-                  [](std::string* bytes) {
-                    FlipPayloadByte(bytes, SectionType::kTripCells);
-                  });
+      FlippedCopy("container_badcells.stm", SectionType::kTripCells);
   Counter& failures =
       MetricsRegistry::Global().counter("index.load_failures");
   const uint64_t base = failures.value();
-  Result<std::unique_ptr<LoadedContainerModel>> loaded = LoadContainerModel(path);
+  auto loaded = LoadContainerModel(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_FALSE((*loaded)->maker->has_trajectory_index());
   EXPECT_TRUE((*loaded)->maker->has_road_hierarchy());
@@ -397,7 +338,7 @@ TEST_F(ContainerTest, MapFailureFallsBackToHeapRead) {
       MetricsRegistry::Global().counter("container.map_fallbacks");
   const uint64_t base = fallbacks.value();
   ArmFailpoint("container/map");
-  Result<std::unique_ptr<LoadedContainerModel>> loaded = LoadContainerModel(cw_.container_path);
+  auto loaded = LoadContainerModel(cw_.container_path);
   DisarmAllFailpoints();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE((*loaded)->container->heap_backed());
@@ -413,20 +354,13 @@ TEST_F(ContainerTest, MapFailureFallsBackToHeapRead) {
 // --- model-manager lifecycle ------------------------------------------------
 
 TEST_F(ContainerTest, ManagerServesContainerAndRollsBackOnCorruptReload) {
-  // The --model flag is polymorphic: the manager loads a container just
-  // like a CSV prefix. A reload pointed at a damaged container must roll
-  // back — same snapshot object serving, old mapping still alive (the
+  // A reload pointed at a damaged container must roll back — same
+  // snapshot object serving, old mapping still alive (the
   // summarize-after-rollback below walks the mapped CSR arrays).
   const std::string bad =
-      MutatedCopy(cw_.container_path, "container_reload_bad.stm",
-                  [](std::string* bytes) {
-                    FlipPayloadByte(bytes, SectionType::kTransitions);
-                  });
+      FlippedCopy("container_reload_bad.stm", SectionType::kTransitions);
   const std::string noch =
-      MutatedCopy(cw_.container_path, "container_reload_noch.stm",
-                  [](std::string* bytes) {
-                    FlipPayloadByte(bytes, SectionType::kChArcs);
-                  });
+      FlippedCopy("container_reload_noch.stm", SectionType::kChArcs);
 
   ModelManagerOptions opts;
   opts.data_dir = cw_.dir;
@@ -461,15 +395,17 @@ TEST_F(ContainerTest, ManagerServesContainerAndRollsBackOnCorruptReload) {
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(first->text, after->text);
 
-  // And a good reload (container -> CSV prefix this time) still swaps.
-  ASSERT_TRUE(manager.Reload(cw_.csv_prefix).ok());
+  // And a good reload (a second copy of the container) still swaps.
+  const std::string copy = TempPrefix("container_reload_good.stm");
+  ASSERT_TRUE(cw_.maker->SaveModelContainer(copy).ok());
+  ASSERT_TRUE(manager.Reload(copy).ok());
   std::shared_ptr<const ModelSnapshot> swapped = manager.Current();
   EXPECT_EQ(swapped->version, before->version + 3);
-  EXPECT_EQ(swapped->container, nullptr);
-  Result<Summary> csv_served =
+  EXPECT_NE(swapped->container, before->container);
+  Result<Summary> reserved =
       swapped->maker->Summarize(swapped->trajectories[0]);
-  ASSERT_TRUE(csv_served.ok());
-  EXPECT_EQ(first->text, csv_served->text);
+  ASSERT_TRUE(reserved.ok());
+  EXPECT_EQ(first->text, reserved->text);
 }
 
 }  // namespace

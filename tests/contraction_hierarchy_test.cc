@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/context.h"
-#include "common/fileutil.h"
 #include "roadnet/map_generator.h"
 #include "roadnet/shortest_path.h"
 
@@ -217,13 +216,14 @@ TEST(ContractionHierarchyTest, ExpansionBudgetCapsQuery) {
   EXPECT_EQ(table.status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST(ContractionHierarchyTest, SaveLoadRoundTripPreservesQueries) {
+TEST(ContractionHierarchyTest, FromRawRoundTripPreservesQueries) {
   GeneratedMap city = SmallCity(5, 11, 0.3, 0.08);
   const RoadNetwork& net = city.network;
   auto built = ContractionHierarchy::Build(net);
   ASSERT_TRUE(built.ok());
-  std::string blob = built->SaveToString();
-  auto loaded = ContractionHierarchy::LoadFromString(blob, net, "test blob");
+  auto loaded = ContractionHierarchy::FromRaw(built->ranks(), built->arcs(),
+                                              net.NumEdges(),
+                                              built->NumShortcuts(), net, "t");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->NumNodes(), built->NumNodes());
   EXPECT_EQ(loaded->NumArcs(), built->NumArcs());
@@ -240,49 +240,63 @@ TEST(ContractionHierarchyTest, SaveLoadRoundTripPreservesQueries) {
       }
     }
   }
-  // Round trip through a file as well.
-  std::string path = ::testing::TempDir() + "/ch_roundtrip.csv";
-  ASSERT_TRUE(built->SaveToFile(path).ok());
-  auto from_file = ContractionHierarchy::LoadFromFile(path, net);
-  ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
-  EXPECT_EQ(from_file->NumArcs(), built->NumArcs());
 }
 
-TEST(ContractionHierarchyTest, CorruptedFilesAreRejectedNotCrashed) {
+TEST(ContractionHierarchyTest, CorruptedArraysAreRejectedNotCrashed) {
   GeneratedMap city = SmallCity(4, 12, 0.2, 0.0);
   const RoadNetwork& net = city.network;
   auto built = ContractionHierarchy::Build(net);
   ASSERT_TRUE(built.ok());
-  const std::string blob = built->SaveToString();
+  ASSERT_GT(built->NumShortcuts(), 0u);
+  const std::vector<uint32_t> rank(built->ranks().begin(),
+                                   built->ranks().end());
+  const std::vector<ContractionHierarchy::Arc> arcs(built->arcs().begin(),
+                                                    built->arcs().end());
+  auto from = [&](const std::vector<uint32_t>& r,
+                  const std::vector<ContractionHierarchy::Arc>& a,
+                  size_t shortcuts) {
+    return ContractionHierarchy::FromRaw(r, a, net.NumEdges(), shortcuts,
+                                         net, "t");
+  };
+  auto expect_corrupt = [](const Result<ContractionHierarchy>& got,
+                           const std::string& detail) {
+    ASSERT_FALSE(got.ok()) << detail;
+    EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(got.status().message().find(detail), std::string::npos)
+        << got.status().ToString();
+  };
 
-  // Truncation (CRC record gone entirely, or mid-file cut).
-  EXPECT_FALSE(ContractionHierarchy::LoadFromString(
-                   blob.substr(0, blob.size() / 2), net, "t")
-                   .ok());
-  // One flipped digit inside an arc weight: caught by the CRC.
-  std::string flipped = blob;
-  size_t pos = flipped.find("arc,");
-  ASSERT_NE(pos, std::string::npos);
-  for (size_t k = pos; k < flipped.size(); ++k) {
-    if (flipped[k] >= '1' && flipped[k] <= '8') {
-      flipped[k] = static_cast<char>(flipped[k] + 1);
+  // Truncation: a rank table cut in half no longer describes the network.
+  std::vector<uint32_t> half(rank.begin(), rank.begin() + rank.size() / 2);
+  expect_corrupt(from(half, arcs, built->NumShortcuts()), "different network");
+  // A rank repeated instead of a permutation.
+  std::vector<uint32_t> duplicated = rank;
+  duplicated[1] = duplicated[0];
+  expect_corrupt(from(duplicated, arcs, built->NumShortcuts()),
+                 "duplicate rank");
+  // One perturbed weight on an original arc.
+  std::vector<ContractionHierarchy::Arc> heavier = arcs;
+  heavier[0].weight += 1.0;
+  expect_corrupt(from(rank, heavier, built->NumShortcuts()),
+                 "weight disagrees with edge length");
+  // A shortcut whose constituents point forward (not earlier arcs).
+  std::vector<ContractionHierarchy::Arc> forward = arcs;
+  for (ContractionHierarchy::Arc& a : forward) {
+    if (a.edge < 0) {
+      a.left = static_cast<int32_t>(forward.size());
       break;
     }
   }
-  auto corrupt = ContractionHierarchy::LoadFromString(flipped, net, "t");
-  ASSERT_FALSE(corrupt.ok());
-  EXPECT_EQ(corrupt.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(corrupt.status().message().find("crc"), std::string::npos);
-  // Garbage.
-  EXPECT_FALSE(
-      ContractionHierarchy::LoadFromString("not a csv", net, "t").ok());
-  // A valid file for a *different* network must be refused (stale model).
+  expect_corrupt(from(rank, forward, built->NumShortcuts()), "malformed");
+  // A lost shortcut: the declared count no longer matches.
+  expect_corrupt(from(rank, arcs, built->NumShortcuts() + 1),
+                 "shortcut count mismatch");
+  // Valid arrays for a *different* network must be refused (stale model).
   GeneratedMap other = SmallCity(5, 13, 0.2, 0.0);
-  auto stale = ContractionHierarchy::LoadFromString(blob, other.network, "t");
-  ASSERT_FALSE(stale.ok());
-  EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(stale.status().message().find("different network"),
-            std::string::npos);
+  auto stale = ContractionHierarchy::FromRaw(
+      rank, arcs, other.network.NumEdges(), built->NumShortcuts(),
+      other.network, "t");
+  expect_corrupt(stale, "different network");
 }
 
 TEST(ContractionHierarchyTest, ShortcutsActuallyAccelerate) {

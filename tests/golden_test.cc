@@ -14,19 +14,23 @@
 // and batch serving), and byte-identical with tracing on vs off.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/fileutil.h"
 #include "common/trace.h"
+#include "core/model_manager.h"
 #include "core/stmaker.h"
 #include "io/summary_json.h"
+#include "io/trajectory_io.h"
 #include "net/ndjson_service.h"
 #include "test_world.h"
 
@@ -280,8 +284,28 @@ TEST(GoldenTest, GoldensIdenticalUnderContractionHierarchy) {
 // honest the same way the summary goldens pin the pipeline.
 // --------------------------------------------------------------------------
 
-/// Feeds one request line to a fresh fixed-model service and blocks for
-/// the single response line (retrieval verbs answer from the pool).
+/// Serves `maker`'s model over `corpus` exactly as `stmaker_cli serve
+/// --model` does: stages the model container and the corpus CSV in a
+/// fresh directory and initializes a ModelManager over them.
+std::unique_ptr<ModelManager> StageAndServe(
+    const STMaker& maker, const std::vector<RawTrajectory>& corpus,
+    const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  ::mkdir(dir.c_str(), 0755);  // EEXIST from a previous run is fine
+  STMAKER_CHECK(maker.SaveModelContainer(dir + "/model.stm").ok());
+  STMAKER_CHECK(WriteTrajectoriesCsv(dir + "/trajectories.csv", corpus).ok());
+  ModelManagerOptions options;
+  options.data_dir = dir;
+  options.model_prefix = dir + "/model.stm";
+  options.use_hierarchy = false;  // retrieval verbs never route
+  auto manager = std::make_unique<ModelManager>(options);
+  Status initialized = manager->Initialize();
+  STMAKER_CHECK(initialized.ok());
+  return manager;
+}
+
+/// Feeds one request line to the service and blocks for the single
+/// response line (retrieval verbs answer from the pool).
 std::string ServeLine(net::NdjsonService& service, const std::string& line) {
   std::mutex mu;
   std::condition_variable cv;
@@ -306,8 +330,9 @@ TEST(GoldenTest, RetrievalVerbResponses) {
   std::vector<RawTrajectory> corpus;
   corpus.reserve(world.history.size());
   for (const GeneratedTrip& t : world.history) corpus.push_back(t.raw);
-  net::NdjsonService service(world.maker.get(), &corpus,
-                             net::NdjsonServiceOptions());
+  std::unique_ptr<ModelManager> manager =
+      StageAndServe(*world.maker, corpus, "golden_world");
+  net::NdjsonService service(manager.get(), net::NdjsonServiceOptions());
 
   CheckGolden("serve_similar_top3",
               ServeLine(service,
@@ -391,7 +416,9 @@ TEST(GoldenTest, RetrievalVerbsOnSparseNoBaselineCorpus) {
   for (size_t i = 200; i < 204; ++i) corpus.push_back(CorpusRaw(i));
   Status trained = sparse.Train(corpus);
   ASSERT_TRUE(trained.ok()) << trained.ToString();
-  net::NdjsonService service(&sparse, &corpus, net::NdjsonServiceOptions());
+  std::unique_ptr<ModelManager> manager =
+      StageAndServe(sparse, corpus, "golden_sparse");
+  net::NdjsonService service(manager.get(), net::NdjsonServiceOptions());
   CheckGolden("serve_similar_sparse",
               ServeLine(service,
                         R"({"id": 1, "similar": 1, "trip": 0, "k": 5})"));

@@ -40,7 +40,9 @@
 namespace stmaker {
 namespace {
 
+using ::stmaker::testing::FlipSectionByte;
 using ::stmaker::testing::GetTestWorld;
+using ::stmaker::testing::LoadContainerModel;
 using ::stmaker::testing::NamedScenario;
 using ::stmaker::testing::Scenario;
 using ::stmaker::testing::ScenarioCorpus;
@@ -603,32 +605,31 @@ TEST(IndexTieBreakTest, EqualScoresRankByAscendingTripId) {
 }
 
 // --------------------------------------------------------------------------
-// Persistence: the index round-trips bit-exactly through the model files
-// and restored fingerprints score identically to fresh ones.
+// Persistence: the index round-trips bit-exactly through the model
+// container and restored fingerprints score identically to fresh ones.
 // --------------------------------------------------------------------------
 
 TEST(IndexPersistenceTest, SaveLoadRoundTripsByteIdentical) {
   const TestWorld& world = GetTestWorld();
   std::vector<RawTrajectory> raws = WorldRaws(world);
-  std::string prefix = ::testing::TempDir() + "/index_roundtrip";
-  ASSERT_TRUE(world.maker->SaveModel(prefix).ok());
+  std::string path = ::testing::TempDir() + "/index_roundtrip.stm";
+  ASSERT_TRUE(world.maker->SaveModelContainer(path).ok());
 
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world.landmarks);
-  STMaker restored(&world.city.network, &landmarks,
-                   FeatureRegistry::BuiltIn());
-  ASSERT_TRUE(restored.LoadModel(prefix).ok());
-  ASSERT_TRUE(restored.has_trajectory_index())
-      << "LoadModel must restore the trajectory index";
-  EXPECT_EQ(restored.trip_index()->SaveToString(),
+  auto restored = LoadContainerModel(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const STMaker& maker = *(*restored)->maker;
+  ASSERT_TRUE(maker.has_trajectory_index())
+      << "LoadModelContainer must restore the trajectory index";
+  EXPECT_EQ(maker.trip_index()->SaveToString(),
             world.maker->trip_index()->SaveToString());
 
-  // Restored fingerprints are %.17g round-tripped doubles: the similarity
-  // scores must be bit-identical, not merely close.
+  // Restored fingerprints are the saved doubles: the similarity scores
+  // must be bit-identical, not merely close.
   Random rng(808);
   for (int probe = 0; probe < 8; ++probe) {
     size_t trip = rng.UniformInt(raws.size());
     auto fresh = world.maker->SimilarTrips(raws, trip, 10);
-    auto loaded = restored.SimilarTrips(raws, trip, 10);
+    auto loaded = maker.SimilarTrips(raws, trip, 10);
     ASSERT_EQ(fresh.ok(), loaded.ok());
     if (fresh.ok()) {
       EXPECT_EQ(MatchesToString(*fresh), MatchesToString(*loaded));
@@ -637,40 +638,36 @@ TEST(IndexPersistenceTest, SaveLoadRoundTripsByteIdentical) {
 }
 
 // --------------------------------------------------------------------------
-// Robustness: corrupt/truncated index files degrade to the scan path with
-// a warning and a metric — the model itself still loads (advisory policy,
+// Robustness: damaged index sections degrade to the scan path with a
+// warning and a metric — the model itself still loads (advisory policy,
 // mirroring the contraction hierarchy's).
 // --------------------------------------------------------------------------
 
-TEST(IndexRobustnessTest, CorruptIndexFileFallsBackToScan) {
+/// Saves the shared world's model, flips a byte in its `type` section, and
+/// loads the damaged copy: the load must succeed without an index and bump
+/// `index.load_failures` exactly once.
+void ExpectIndexSectionDamageFallsBackToScan(const std::string& name,
+                                             SectionType type) {
   const TestWorld& world = GetTestWorld();
   std::vector<RawTrajectory> raws = WorldRaws(world);
-  std::string prefix = ::testing::TempDir() + "/index_corrupt";
-  ASSERT_TRUE(world.maker->SaveModel(prefix).ok());
-
-  // Flip bytes in the middle of the index file: the manifest CRC catches
-  // it, the load warns, and similarity queries still work — via the scan.
-  std::string path = prefix + "_index.csv";
-  Result<std::string> content = ReadFileToString(path);
-  ASSERT_TRUE(content.ok());
-  std::string damaged = *content;
-  damaged[damaged.size() / 2] ^= 0x5a;
-  ASSERT_TRUE(WriteFileToPath(path, damaged).ok());
+  const std::string good = ::testing::TempDir() + "/" + name + "_good.stm";
+  const std::string bad = ::testing::TempDir() + "/" + name + ".stm";
+  ASSERT_TRUE(world.maker->SaveModelContainer(good).ok());
+  ASSERT_TRUE(FlipSectionByte(good, bad, type).ok());
 
   MetricsRegistry& registry = MetricsRegistry::Global();
   uint64_t failures_before = registry.counter("index.load_failures").value();
-
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world.landmarks);
-  STMaker restored(&world.city.network, &landmarks,
-                   FeatureRegistry::BuiltIn());
-  ASSERT_TRUE(restored.LoadModel(prefix).ok())
-      << "a damaged index must not fail the model load";
-  EXPECT_FALSE(restored.has_trajectory_index());
+  auto restored = LoadContainerModel(bad);
+  ASSERT_TRUE(restored.ok())
+      << "a damaged index must not fail the model load: "
+      << restored.status().ToString();
+  const STMaker& maker = *(*restored)->maker;
+  EXPECT_FALSE(maker.has_trajectory_index());
   EXPECT_EQ(registry.counter("index.load_failures").value(),
             failures_before + 1);
 
   // The scan fallback serves identical results to the indexed original.
-  auto scanned = restored.SimilarTrips(raws, 3, 5);
+  auto scanned = maker.SimilarTrips(raws, 3, 5);
   auto indexed = world.maker->SimilarTrips(raws, 3, 5);
   ASSERT_EQ(scanned.ok(), indexed.ok());
   if (scanned.ok()) {
@@ -678,25 +675,14 @@ TEST(IndexRobustnessTest, CorruptIndexFileFallsBackToScan) {
   }
 }
 
-TEST(IndexRobustnessTest, TruncatedIndexFileFallsBackToScan) {
-  const TestWorld& world = GetTestWorld();
-  std::string prefix = ::testing::TempDir() + "/index_truncated";
-  ASSERT_TRUE(world.maker->SaveModel(prefix).ok());
-  std::string path = prefix + "_index.csv";
-  Result<std::string> content = ReadFileToString(path);
-  ASSERT_TRUE(content.ok());
-  ASSERT_TRUE(
-      WriteFileToPath(path, content->substr(0, content->size() / 3)).ok());
+TEST(IndexRobustnessTest, CorruptFingerprintSectionFallsBackToScan) {
+  ExpectIndexSectionDamageFallsBackToScan("index_badfp",
+                                          SectionType::kTripFingerprints);
+}
 
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  uint64_t failures_before = registry.counter("index.load_failures").value();
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world.landmarks);
-  STMaker restored(&world.city.network, &landmarks,
-                   FeatureRegistry::BuiltIn());
-  ASSERT_TRUE(restored.LoadModel(prefix).ok());
-  EXPECT_FALSE(restored.has_trajectory_index());
-  EXPECT_EQ(registry.counter("index.load_failures").value(),
-            failures_before + 1);
+TEST(IndexRobustnessTest, CorruptDescriptorSectionFallsBackToScan) {
+  ExpectIndexSectionDamageFallsBackToScan("index_baddesc",
+                                          SectionType::kTripDescriptors);
 }
 
 TEST(IndexRobustnessTest, BuildFailpointDegradesTrainingToScanPath) {

@@ -1,5 +1,5 @@
 // Tests for the parallel pipeline: thread-pool/loop primitives, the LRU
-// cache, the shard Merge() operations, and — the load-bearing property —
+// cache, and — the load-bearing property —
 // that thread count never changes any result: training, single summaries,
 // and batch summaries are byte-identical at 1, 2, and 4 threads.
 
@@ -121,23 +121,6 @@ TEST(LruCacheTest, PutOverwritesAndClearDropsEntries) {
   EXPECT_EQ(cache.Get(1), nullptr);
 }
 
-// --- Shard merges on hand-built inputs. -------------------------------------
-
-SymbolicTrajectory MakeSymbolic(const std::vector<LandmarkId>& landmarks) {
-  SymbolicTrajectory t;
-  for (size_t i = 0; i < landmarks.size(); ++i) {
-    t.samples.push_back({landmarks[i], static_cast<double>(i)});
-  }
-  return t;
-}
-
-std::vector<PopularRouteMiner::Transition> Mined(
-    const std::vector<std::vector<LandmarkId>>& trajectories) {
-  PopularRouteMiner miner;
-  for (const auto& t : trajectories) miner.AddTrajectory(MakeSymbolic(t));
-  return miner.Transitions();
-}
-
 void ExpectSameTransitions(
     const std::vector<PopularRouteMiner::Transition>& a,
     const std::vector<PopularRouteMiner::Transition>& b) {
@@ -146,121 +129,6 @@ void ExpectSameTransitions(
     EXPECT_EQ(a[i].from, b[i].from);
     EXPECT_EQ(a[i].to, b[i].to);
     EXPECT_EQ(a[i].count, b[i].count);
-  }
-}
-
-TEST(PopularRouteMinerMergeTest, MergeReplaysSerialOrderAndAssociates) {
-  const std::vector<std::vector<LandmarkId>> part1 = {{1, 2, 3}, {2, 3, 4}};
-  const std::vector<std::vector<LandmarkId>> part2 = {{3, 1, 2}};
-  const std::vector<std::vector<LandmarkId>> part3 = {{1, 2, 3}, {4, 5}};
-
-  std::vector<std::vector<LandmarkId>> all = part1;
-  all.insert(all.end(), part2.begin(), part2.end());
-  all.insert(all.end(), part3.begin(), part3.end());
-  const auto serial = Mined(all);
-
-  auto mine = [](const std::vector<std::vector<LandmarkId>>& ts) {
-    PopularRouteMiner m;
-    for (const auto& t : ts) m.AddTrajectory(MakeSymbolic(t));
-    return m;
-  };
-
-  // ((1 . 2) . 3)
-  PopularRouteMiner left = mine(part1);
-  left.Merge(mine(part2));
-  left.Merge(mine(part3));
-  ExpectSameTransitions(left.Transitions(), serial);
-
-  // (1 . (2 . 3))
-  PopularRouteMiner tail = mine(part2);
-  tail.Merge(mine(part3));
-  PopularRouteMiner right = mine(part1);
-  right.Merge(tail);
-  ExpectSameTransitions(right.Transitions(), serial);
-
-  // Merging an empty shard is the identity.
-  PopularRouteMiner with_empty = mine(all);
-  with_empty.Merge(PopularRouteMiner());
-  ExpectSameTransitions(with_empty.Transitions(), serial);
-}
-
-TEST(PopularRouteMinerMergeTest, MergedMinerAnswersQueriesLikeSerial) {
-  std::vector<std::vector<LandmarkId>> part1;
-  std::vector<std::vector<LandmarkId>> part2;
-  for (int i = 0; i < 8; ++i) part1.push_back({0, 1, 2, 3});
-  for (int i = 0; i < 2; ++i) part2.push_back({0, 4, 3});
-  std::vector<std::vector<LandmarkId>> all = part1;
-  all.insert(all.end(), part2.begin(), part2.end());
-
-  PopularRouteMiner serial;
-  for (const auto& t : all) serial.AddTrajectory(MakeSymbolic(t));
-  PopularRouteMiner merged;
-  for (const auto& t : part1) merged.AddTrajectory(MakeSymbolic(t));
-  PopularRouteMiner shard2;
-  for (const auto& t : part2) shard2.AddTrajectory(MakeSymbolic(t));
-  merged.Merge(shard2);
-
-  auto a = serial.PopularRoute(0, 3);
-  auto b = merged.PopularRoute(0, 3);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value(), b.value());
-}
-
-TEST(HistoricalFeatureMapMergeTest, MergeMatchesSerialAccumulation) {
-  const std::vector<double> f1 = {1.0, 2.0};
-  const std::vector<double> f2 = {0.5, 4.0};
-  const std::vector<double> f3 = {2.5, 1.5};
-
-  HistoricalFeatureMap serial(2);
-  serial.AddSegment(1, 2, f1);
-  serial.AddSegment(2, 3, f2);
-  serial.AddSegment(1, 2, f3);
-
-  HistoricalFeatureMap shard1(2);
-  shard1.AddSegment(1, 2, f1);
-  HistoricalFeatureMap shard2(2);
-  shard2.AddSegment(2, 3, f2);
-  shard2.AddSegment(1, 2, f3);
-  shard1.Merge(shard2);
-
-  auto a = serial.Edges();
-  auto b = shard1.Edges();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].from, b[i].from);
-    EXPECT_EQ(a[i].to, b[i].to);
-    EXPECT_EQ(a[i].count, b[i].count);
-    ASSERT_EQ(a[i].sums.size(), b[i].sums.size());
-    for (size_t f = 0; f < a[i].sums.size(); ++f) {
-      EXPECT_DOUBLE_EQ(a[i].sums[f], b[i].sums[f]);
-    }
-  }
-}
-
-TEST(VisitCorpusMergeTest, AnonymousRecordsStayDistinctAndOrdered) {
-  // Serial: anon, traveller 7, anon, traveller 7 again.
-  VisitCorpus serial;
-  serial.AddTrajectory(-1, {10, 11});
-  serial.AddTrajectory(7, {11});
-  serial.AddTrajectory(-1, {12});
-  serial.AddTrajectory(7, {10, 11});
-
-  // Same stream split after the second trajectory.
-  VisitCorpus shard1;
-  shard1.AddTrajectory(-1, {10, 11});
-  shard1.AddTrajectory(7, {11});
-  VisitCorpus shard2;
-  shard2.AddTrajectory(-1, {12});
-  shard2.AddTrajectory(7, {10, 11});
-  shard1.Merge(shard2);
-
-  ASSERT_EQ(shard1.num_travelers(), serial.num_travelers());
-  for (size_t i = 0; i < serial.records().size(); ++i) {
-    const auto& a = serial.records()[i];
-    const auto& b = shard1.records()[i];
-    EXPECT_EQ(a.key, b.key) << "record " << i;
-    EXPECT_EQ(a.visits, b.visits) << "record " << i;
   }
 }
 

@@ -23,6 +23,7 @@ namespace stmaker {
 namespace {
 
 using ::stmaker::testing::GetTestWorld;
+using ::stmaker::testing::LoadContainerModel;
 using ::stmaker::testing::TestWorld;
 
 // --------------------------------------------------------------------------
@@ -402,22 +403,21 @@ TEST_P(ContextTransparencyTest, PassiveContextIsByteIdentical) {
 }
 
 TEST_P(ContextTransparencyTest, DeadlineFailureLeavesNoPartialState) {
-  // Two makers restored from the same model file, so each starts with
-  // identical trained state and cold caches. One absorbs a
+  // Two makers restored from the same model container, so each starts
+  // with identical trained state and cold caches. One absorbs a
   // deadline-exceeded request first; if the abort leaked partial state
   // (a truncated cache entry, a half-updated structure), the follow-up
   // summary would differ from the never-failed maker's.
   const TestWorld& world = GetTestWorld();
-  std::string prefix = ::testing::TempDir() + "/ctx_purity_" +
-                       std::to_string(GetParam());
-  ASSERT_TRUE(world.maker->SaveModel(prefix).ok());
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world.landmarks);
-
-  STMaker tainted(&world.city.network, &landmarks, FeatureRegistry::BuiltIn());
-  STMaker pristine(&world.city.network, &landmarks,
-                   FeatureRegistry::BuiltIn());
-  ASSERT_TRUE(tainted.LoadModel(prefix).ok());
-  ASSERT_TRUE(pristine.LoadModel(prefix).ok());
+  std::string path = ::testing::TempDir() + "/ctx_purity_" +
+                     std::to_string(GetParam()) + ".stm";
+  ASSERT_TRUE(world.maker->SaveModelContainer(path).ok());
+  auto tainted_model = LoadContainerModel(path);
+  auto pristine_model = LoadContainerModel(path);
+  ASSERT_TRUE(tainted_model.ok()) << tainted_model.status().ToString();
+  ASSERT_TRUE(pristine_model.ok()) << pristine_model.status().ToString();
+  const STMaker& tainted = *(*tainted_model)->maker;
+  const STMaker& pristine = *(*pristine_model)->maker;
 
   Random rng(GetParam() + 500);
   auto trip = world.generator->GenerateTrip(15 * 3600.0, &rng);

@@ -19,14 +19,11 @@ source "$(dirname "$0")/serve_lib.sh"
 echo "== gen + train =="
 serve_world
 
-echo "== make a corrupt model copy (damaged manifest entry) =="
-BAD="$DIR/badmodel"
-for f in "$DIR"/model_*.csv; do
-  cp "$f" "$DIR/badmodel${f#"$DIR"/model}"
-done
-# Truncating a manifest-covered section makes parse-then-commit reject the
-# whole load: the CRC no longer matches, so the reload must roll back.
-head -c 64 "$DIR/model_feature_map.csv" > "$BAD"_feature_map.csv
+echo "== make a corrupt model copy (one byte flipped in a required section) =="
+# SectionType 13 = kFeatureEdges: the per-section CRC no longer matches, so
+# parse-then-commit rejects the whole load and the reload must roll back.
+BAD="$DIR/badmodel.stm"
+flip_section_byte "$DIR/model.stm" "$BAD" 13
 
 echo "== start server =="
 serve_start "$DIR/serve.stderr" --threads 2

@@ -14,6 +14,11 @@
 #   serve_stop             SIGTERM + wait; fails the test on nonzero exit
 #   tcp_client P REQ OUT   one connection to port P: send file REQ
 #                          pipelined, half-close, read replies to EOF
+#   flip_section_byte SRC DST TYPE
+#                          copy model container SRC to DST with one payload
+#                          byte flipped inside the first section of numeric
+#                          SectionType TYPE (docs/FORMAT.md §3); the section
+#                          CRC is left stale, so loading DST must fail
 #
 # Environment intended for a server (e.g. STMAKER_FAILPOINTS) can be set
 # per call: `STMAKER_FAILPOINTS=... serve_start ...` works as usual.
@@ -21,21 +26,41 @@
 DIR="$(mktemp -d)"
 SERVE_PID=""
 serve_lib_cleanup() {
-  [[ -n "$SERVE_PID" ]] && kill -9 "$SERVE_PID" 2>/dev/null
+  if [[ -n "$SERVE_PID" ]]; then kill -9 "$SERVE_PID" 2>/dev/null || true; fi
   rm -rf "$DIR"
 }
 trap serve_lib_cleanup EXIT
 
 serve_world() {
   "$CLI" gen --dir "$DIR" --seed 5 --blocks 10 --trips 80 --pois 100
-  "$CLI" train --dir "$DIR" --model "$DIR/model"
+  "$CLI" train --dir "$DIR" --model "$DIR/model.stm"
+}
+
+flip_section_byte() {  # flip_section_byte <src> <dst> <section-type>
+  python3 - "$1" "$2" "$3" <<'PYEOF'
+import struct
+import sys
+
+src, dst, want = sys.argv[1], sys.argv[2], int(sys.argv[3])
+data = bytearray(open(src, "rb").read())
+(count,) = struct.unpack_from("<I", data, 16)  # header.section_count
+for i in range(count):
+    # SectionEntry: type, version, record_width, crc32, offset, bytes.
+    kind, _, _, _, offset, size = struct.unpack_from("<IIIIQQ", data,
+                                                     64 + 64 * i)
+    if kind == want and size > 0:
+        data[offset + size // 2] ^= 0x40
+        open(dst, "wb").write(data)
+        sys.exit(0)
+sys.exit("no non-empty section of type %d in %s" % (want, src))
+PYEOF
 }
 
 serve_start() {  # serve_start <stderr-file> [serve-args...]
   local err="$1"
   shift
   : > "$err"
-  "$CLI" serve --dir "$DIR" --model "$DIR/model" --port 0 "$@" 2> "$err" &
+  "$CLI" serve --dir "$DIR" --model "$DIR/model.stm" --port 0 "$@" 2> "$err" &
   SERVE_PID=$!
   PORT=""
   for _ in $(seq 1 400); do

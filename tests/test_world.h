@@ -1,11 +1,16 @@
 #ifndef STMAKER_TESTS_TEST_WORLD_H_
 #define STMAKER_TESTS_TEST_WORLD_H_
 
+#include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/fileutil.h"
 #include "core/stmaker.h"
+#include "io/container.h"
 #include "landmark/poi_generator.h"
 #include "roadnet/map_generator.h"
 #include "traj/generator.h"
@@ -56,6 +61,58 @@ inline const TestWorld& GetTestWorld() {
     return w;
   }();
   return world;
+}
+
+/// A model served from a container file: the mapping, the world restored
+/// from it, and the maker — in ModelSnapshot's member order, so the mapping
+/// outlives the network views. Heap-allocated because the maker holds raw
+/// pointers into the struct.
+struct ContainerModel {
+  std::shared_ptr<MappedContainer> container;
+  RoadNetwork network;
+  std::unique_ptr<LandmarkIndex> landmarks;
+  std::unique_ptr<STMaker> maker;
+};
+
+/// Opens the container at `path` and restores world + model from it,
+/// exactly as ModelManager does, over `registry` with `threads` workers.
+inline Result<std::unique_ptr<ContainerModel>> LoadContainerModel(
+    const std::string& path, int threads = 1,
+    FeatureRegistry registry = FeatureRegistry::BuiltIn()) {
+  auto m = std::make_unique<ContainerModel>();
+  STMAKER_ASSIGN_OR_RETURN(m->container, MappedContainer::Open(path));
+  STMAKER_ASSIGN_OR_RETURN(m->network,
+                           LoadNetworkFromContainer(*m->container));
+  STMAKER_ASSIGN_OR_RETURN(
+      LandmarkIndex landmarks,
+      LoadLandmarksFromContainer(*m->container, m->network));
+  m->landmarks = std::make_unique<LandmarkIndex>(std::move(landmarks));
+  STMakerOptions options;
+  options.num_threads = threads;
+  m->maker = std::make_unique<STMaker>(&m->network, m->landmarks.get(),
+                                       std::move(registry), options);
+  STMAKER_RETURN_IF_ERROR(m->maker->LoadModelContainer(*m->container));
+  return m;
+}
+
+/// Copies the container at `src` to `dst` with one payload byte flipped in
+/// the middle of the first section of `type`, leaving that section's CRC
+/// stale — the bit-rot a per-section CRC must catch.
+inline Status FlipSectionByte(const std::string& src, const std::string& dst,
+                              SectionType type) {
+  STMAKER_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(src));
+  ContainerHeader header{};
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    SectionEntry entry{};
+    std::memcpy(&entry, bytes.data() + sizeof(header) + i * sizeof(entry),
+                sizeof(entry));
+    if (entry.type == static_cast<uint32_t>(type) && entry.bytes > 0) {
+      bytes[entry.offset + entry.bytes / 2] ^= 0x40;
+      return WriteFileToPath(dst, bytes);
+    }
+  }
+  return Status::NotFound(src + ": no non-empty section of that type");
 }
 
 }  // namespace stmaker::testing

@@ -122,30 +122,23 @@ def render(records):
         out.append("map shape surfaces as its own row instead of averaging "
                    "away city-wide.")
         out.append("")
-    if any(r["name"] in ("ModelReload", "PostSwapFirstRequest")
+    if any(r["name"] in ("ModelReload_container", "PostSwapFirstRequest")
            for r in throughput):
-        out.append("`ModelReload` is the wall time of one full zero-downtime "
-                   "model swap")
-        out.append("(DESIGN.md §15): world re-read, manifest-verified model "
-                   "parse, atomic commit —")
-        out.append("the old snapshot serves throughout. "
-                   "`PostSwapFirstRequest` is the first")
-        out.append("summarize answered by the freshly published snapshot, "
-                   "with every cache cold:")
-        out.append("the steady-state cost of a reload as a request actually "
-                   "feels it.")
-        out.append("")
-    if any(r["name"].startswith("ModelColdStart") for r in throughput):
-        out.append("`ModelColdStart_csv` vs `ModelColdStart_container` time "
-                   "the two deploy formats")
-        out.append("from nothing-in-memory to a maker ready to answer: the "
-                   "CSV prefix re-parses")
-        out.append("every row, the binary container (docs/FORMAT.md) mmaps "
-                   "one file and walks its")
-        out.append("header, section table, and CRCs. `ModelReload_container` "
-                   "is the container-backed")
-        out.append("counterpart of `ModelReload` — same swap/rollback "
-                   "semantics, no text parse.")
+        out.append("`ModelReload_container` is the wall time of one full "
+                   "zero-downtime model swap")
+        out.append("(DESIGN.md §15): container map, section CRCs, model "
+                   "restore, corpus re-read,")
+        out.append("atomic commit — the old snapshot serves throughout. "
+                   "`PostSwapFirstRequest` is")
+        out.append("the first summarize answered by the freshly published "
+                   "snapshot, with every")
+        out.append("cache cold: the steady-state cost of a reload as a "
+                   "request actually feels it.")
+        out.append("`ModelColdStart_container` times nothing-in-memory to a "
+                   "maker ready to answer:")
+        out.append("the container (docs/FORMAT.md) is mmapped and its header, "
+                   "section table, and")
+        out.append("CRCs walked — no per-row text parse.")
         out.append("")
 
     if ch is not None:
@@ -202,39 +195,31 @@ def render(records):
         out.append("")
 
     if cold is not None:
-        out.append("## Model cold start: CSV vs binary container")
+        out.append("## Model cold start")
         out.append("")
         out.append("Wall time and first-load RSS growth from "
                    "nothing-in-memory to a serving-ready")
-        out.append("maker, for the CSV model prefix (the train/import "
-                   "format) and the single-file")
-        out.append("binary container (the deploy format; byte layout in "
+        out.append("maker loaded from the model container (byte layout in "
                    "docs/FORMAT.md). The")
-        out.append("container load does no per-row text parse — open, "
-                   "mmap, validate the header")
-        out.append("and section table, CRC the sections it materializes — "
-                   "and the road network's")
-        out.append("hot arrays alias the mapping zero-copy, which is where "
-                   "both the latency and")
-        out.append("the RSS gap come from.")
+        out.append("load does no per-row text parse — open, mmap, validate "
+                   "the header and section")
+        out.append("table, CRC the sections it materializes — and the road "
+                   "network's hot arrays")
+        out.append("alias the mapping zero-copy.")
         out.append("")
         out.append("| load path | p50 (ms) | first-load RSS growth (kB) |")
         out.append("|---|---:|---:|")
-        out.append(f"| CSV prefix | {fmt(cold['csv_p50_ms'], 2)} "
-                   f"| {cold['csv_rss_delta_kb']} |")
-        out.append(f"| binary container | "
+        out.append(f"| model container | "
                    f"{fmt(cold['container_p50_ms'], 2)} "
                    f"| {cold['container_rss_delta_kb']} |")
         out.append("")
         out.append("Read the RSS column with care: it is sampled after the "
                    "rest of the bench has")
-        out.append("warmed the allocator, so a heap-backed load that fits "
-                   "in already-resident free")
-        out.append("pages can report near zero, and the container figure "
-                   "is dominated by the")
-        out.append("mapped file's pages — which are shared and evictable "
-                   "page cache, not private")
-        out.append("heap. The latency column is the robust comparison.")
+        out.append("warmed the allocator, and it is dominated by the mapped "
+                   "file's pages — which")
+        out.append("are shared and evictable page cache, not private heap. "
+                   "The latency column is")
+        out.append("the robust figure.")
         out.append("")
 
     if slo:
@@ -331,7 +316,7 @@ def p99_rows(records):
     comparable: the knee depends on machine load during the run, so gating
     on it would make the regression check flaky. The "model_coldstart"
     summary record is likewise skipped here — its per-rep latencies already
-    gate through the ModelColdStart_{csv,container} throughput rows, and
+    gate through the ModelColdStart_container throughput row, and
     RSS deltas are too allocator-dependent to diff across machines.
     """
     rows = {}

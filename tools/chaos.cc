@@ -23,7 +23,7 @@
 //   5. after the storm, SIGTERM drains cleanly: exit code 0.
 //
 // usage:
-//   chaos --cli PATH --dir DATADIR --model PREFIX [--bad_model PREFIX]
+//   chaos --cli PATH --dir DATADIR --model MODEL [--bad_model MODEL]
 //         [--seed N] [--duration_s S] [--qps R] [--trips T]
 //         [--no-failpoints]
 //
@@ -67,8 +67,8 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  chaos --cli PATH --dir DATADIR --model PREFIX\n"
-      "        [--bad_model PREFIX] [--seed N] [--duration_s S] [--qps R]\n"
+      "  chaos --cli PATH --dir DATADIR --model MODEL\n"
+      "        [--bad_model MODEL] [--seed N] [--duration_s S] [--qps R]\n"
       "        [--trips T] [--no-failpoints]\n"
       "(seeded chaos run against `stmaker_cli serve`; see the file comment\n"
       " for the invariants. A failing run prints its repro command.)\n");
@@ -152,8 +152,9 @@ Schedule MakeSchedule(uint64_t seed, bool with_failpoints) {
 
   if (with_failpoints) {
     // Candidate faults and the phase they land in. Skip counts keep the
-    // server's *startup* load (a few dozen file reads) clean so every run
-    // reaches "listening" — the faults then land on reloads and traffic.
+    // server's *startup* load (the container map plus one read of the
+    // serving corpus) clean so every run reaches "listening" — the faults
+    // then land on reloads and traffic.
     // Fail counts are finite so the final stats probe and the SIGTERM
     // drain run fault-free: the run must end deterministically clean.
     struct Candidate {
@@ -163,12 +164,11 @@ Schedule MakeSchedule(uint64_t seed, bool with_failpoints) {
     };
     const Candidate kCandidates[] = {
         {"model/reload", 0, false},  // fail a whole reload attempt outright
-        {"io/open-read", 60, false},  // corrupt a reload mid-load
-        {"io/read", 60, false},
+        {"io/open-read", 1, false},  // fail a reload's corpus read mid-load
+        {"io/read", 1, false},
         {"route/stall", 10, false},
         // mmap refusal on a container (re)load: must degrade to the heap
         // fallback (container.map_fallbacks), never to a torn snapshot.
-        // A no-op schedule entry when --model is a CSV prefix.
         {"container/map", 0, false},
         {"net/read", 0, true},
         {"net/write", 0, true},
@@ -225,6 +225,9 @@ Result<Server> StartServer(const std::string& cli, const std::string& dir,
                            const std::string& stderr_path) {
   Server server;
   server.stderr_path = stderr_path;
+  // A repro run reuses the path: drop the previous server's log first, or
+  // the poll below could read its stale "listening" line.
+  ::unlink(stderr_path.c_str());
   pid_t pid = ::fork();
   if (pid < 0) {
     return Status::IoError(StrFormat("fork: %s", std::strerror(errno)));
@@ -412,7 +415,8 @@ struct ChaosClientResult {
 
 /// Runs the scripted op mix against the server, validating every reply.
 /// `expected` maps id -> replies seen so far (must end at exactly 1);
-/// malformed lines are tracked by count (they all answer with id -1).
+/// malformed lines are tracked by count (they all answer with id -1, in
+/// send order on the one connection).
 ChaosClientResult RunChaosClient(const Schedule& schedule, uint16_t port,
                                  const std::string& model,
                                  const std::string& bad_model, long trips,
@@ -429,6 +433,7 @@ ChaosClientResult RunChaosClient(const Schedule& schedule, uint16_t port,
   std::set<long> outstanding;
   size_t malformed_sent = 0;
   size_t malformed_answered = 0;
+  size_t malformed_outstanding = 0;  ///< sent on the current connection
   long next_id = 1000;
 
   auto drain_lines = [&](bool connection_died) {
@@ -445,6 +450,7 @@ ChaosClientResult RunChaosClient(const Schedule& schedule, uint16_t port,
       }
       if (id == -1) {
         ++malformed_answered;
+        if (malformed_outstanding > 0) --malformed_outstanding;
       } else {
         ++replies_by_id[static_cast<long>(id)];
         outstanding.erase(static_cast<long>(id));
@@ -455,9 +461,12 @@ ChaosClientResult RunChaosClient(const Schedule& schedule, uint16_t port,
       }
     }
     if (connection_died) {
-      // Replies in flight on a killed connection are legitimately lost.
-      result.forgiven += outstanding.size();
+      // Replies in flight on a killed connection are legitimately lost —
+      // malformed lines included: they are requests like any other.
+      result.forgiven += outstanding.size() + malformed_outstanding;
       outstanding.clear();
+      malformed_sent -= malformed_outstanding;
+      malformed_outstanding = 0;
     }
   };
 
@@ -507,6 +516,7 @@ ChaosClientResult RunChaosClient(const Schedule& schedule, uint16_t port,
         };
         line = kGarbage[rng() % std::size(kGarbage)];
         ++malformed_sent;
+        ++malformed_outstanding;
         break;
       }
       case Schedule::Op::kReloadInPlace:
@@ -526,7 +536,10 @@ ChaosClientResult RunChaosClient(const Schedule& schedule, uint16_t port,
     if (op != Schedule::Op::kMalformed) outstanding.insert(id);
     if (!conn.Send(line)) {
       outstanding.erase(id);
-      if (op == Schedule::Op::kMalformed) --malformed_sent;
+      if (op == Schedule::Op::kMalformed) {
+        --malformed_sent;
+        --malformed_outstanding;
+      }
       continue;  // the dead() branch above handles the fallout next loop
     }
     drain_lines(/*connection_died=*/false);

@@ -9,21 +9,18 @@
 //   stmaker_cli summarize --dir /tmp/city --trip 3 [--k 2] [--eta 0.2]
 //                         [--json]
 //
-//   # Train once and persist the mined model (multi-threaded ingestion;
-//   # --threads 0 = all cores, output identical at any thread count):
-//   stmaker_cli train --dir /tmp/city --model /tmp/city/model --threads 4
+//   # Train once and write the model container — one file carrying the
+//   # mined model and its world, which the server mmaps (docs/FORMAT.md;
+//   # multi-threaded ingestion, --threads 0 = all cores, the file is
+//   # byte-identical at any thread count):
+//   stmaker_cli train --dir /tmp/city --model /tmp/city/model.stm --threads 4
 //
-//   # Summarize using a persisted model (no re-training):
-//   stmaker_cli summarize --dir /tmp/city --trip 3 --model /tmp/city/model
+//   # Summarize using a trained model (no re-training):
+//   stmaker_cli summarize --dir /tmp/city --trip 3 --model /tmp/city/model.stm
 //
-//   # Pack a trained CSV model into the single-file binary container the
-//   # server mmaps (docs/FORMAT.md); serve/reload accept it via --model:
-//   stmaker_cli pack --dir /tmp/city --model /tmp/city/model
-//                    --out /tmp/city/model.stm
-//
-//   # Export a container back to the CSV model schema (byte-exact
-//   # round-trip: pack(unpack(c)) == c):
-//   stmaker_cli unpack --model /tmp/city/model.stm --out /tmp/city/model2
+//   # Dump a model container as human-readable CSV files (one-way, for
+//   # diffing; nothing loads them):
+//   stmaker_cli unpack --model /tmp/city/model.stm --out /tmp/city/model
 //
 //   # Corpus-level feature-frequency statistics:
 //   stmaker_cli stats --dir /tmp/city [--trips 200]
@@ -33,7 +30,7 @@
 //
 //   # Serve summarization requests over stdin/stdout NDJSON (one JSON
 //   # object per line; see README "Serving"):
-//   stmaker_cli serve --dir /tmp/city --model /tmp/city/model
+//   stmaker_cli serve --dir /tmp/city --model /tmp/city/model.stm
 //                     --deadline_ms 500 --max_inflight 64 --threads 4
 //
 // The dataset directory holds plain CSV files (see src/io/), so real map
@@ -157,15 +154,14 @@ int Usage() {
                "usage:\n"
                "  stmaker_cli gen --dir D [--seed N] [--blocks B] "
                "[--trips T] [--pois P]\n"
-               "  stmaker_cli train --dir D --model P [--threads N]\n"
+               "  stmaker_cli train --dir D --model M [--threads N]\n"
                "              [--router dijkstra|ch]\n"
                "  stmaker_cli summarize --dir D --trip I [--k K] "
-               "[--eta E] [--json|--geojson] [--model P] [--threads N]\n"
-               "  stmaker_cli pack --dir D --model P --out C\n"
-               "  stmaker_cli unpack --model C --out P\n"
+               "[--eta E] [--json|--geojson] [--model M] [--threads N]\n"
+               "  stmaker_cli unpack --model M --out P\n"
                "  stmaker_cli stats --dir D [--trips T] [--threads N]\n"
                "  stmaker_cli group --dir D [--from-hour H] [--to-hour H]\n"
-               "  stmaker_cli serve --dir D [--model P] [--threads N]\n"
+               "  stmaker_cli serve --dir D [--model M] [--threads N]\n"
                "              [--deadline_ms MS] [--max_inflight N]\n"
                "              [--max_expansions N] [--trace_log PATH]\n"
                "              [--router dijkstra|ch] [--max_line_bytes B]\n"
@@ -179,10 +175,11 @@ int Usage() {
                "(--router: backend for road-network `route` requests; ch — "
                "the default — builds/loads a contraction hierarchy, dijkstra "
                "disables it; summaries are byte-identical either way)\n"
-               "(pack/unpack: convert between the CSV model schema (prefix "
-               "P, the train/import format) and the single-file binary "
-               "container (path C, the deploy format the server mmaps — see "
-               "docs/FORMAT.md); serve/reload --model accepts either)\n"
+               "(--model M: the model container file `train` writes — one "
+               "binary file with the mined model and its world, which the "
+               "server mmaps (docs/FORMAT.md); any other file is rejected "
+               "with exit 3. unpack dumps M as human-readable CSV files "
+               "P_*.csv, one-way)\n"
                "(--port: serve NDJSON over TCP instead of stdin; 0 picks a "
                "free port, reported as `listening on ADDR:PORT` on stderr. "
                "SIGTERM/SIGINT drain gracefully: stop accepting, finish "
@@ -367,47 +364,16 @@ int RunTrain(const Args& args) {
     st = maker.BuildRoadHierarchy();
     if (!st.ok()) return Fail(st);
   }
-  st = maker.SaveModel(args.Get("model", "model"));
+  st = maker.SaveModelContainer(args.Get("model", "model.stm"));
   if (!st.ok()) return Fail(st);
-  std::printf("trained on %zu trajectories; model saved under %s_*%s\n",
-              maker.num_trained(), args.Get("model", "model").c_str(),
+  std::printf("trained on %zu trajectories; model written to %s%s\n",
+              maker.num_trained(), args.Get("model", "model.stm").c_str(),
               maker.has_road_hierarchy() ? " (with routing hierarchy)" : "");
   return 0;
 }
 
-// pack: CSV model prefix -> single-file binary container (the deploy
-// artifact the server mmaps; see docs/FORMAT.md). The world CSVs are
-// needed because the container carries the road network and landmark
-// geometry alongside the mined model — one file ships everything.
-int RunPack(const Args& args) {
-  if (!args.Has("dir") || !args.Has("model") || !args.Has("out")) {
-    return Usage();
-  }
-  const std::string dir = args.Get("dir", ".");
-  Result<RoadNetwork> network = ReadRoadNetworkCsv(dir + "/network");
-  if (!network.ok()) return Fail(network.status());
-  Result<std::vector<RawPoi>> pois = ReadPoisCsv(dir + "/pois.csv");
-  if (!pois.ok()) return Fail(pois.status());
-  LandmarkIndex landmarks = LandmarkIndex::Build(*network, *pois);
-  STMaker maker(&*network, &landmarks, FeatureRegistry::BuiltIn());
-  Status st = maker.LoadModel(args.Get("model", "model"));
-  if (!st.ok()) return Fail(st);
-  const std::string out = args.Get("out", "model.stm");
-  st = maker.SaveModelContainer(out);
-  if (!st.ok()) return Fail(st);
-  std::printf("packed %s_* (%zu nodes, %zu edges, %zu landmarks%s%s) into "
-              "%s\n",
-              args.Get("model", "model").c_str(), network->NumNodes(),
-              network->NumEdges(), landmarks.size(),
-              maker.has_road_hierarchy() ? ", routing hierarchy" : "",
-              maker.has_trajectory_index() ? ", trajectory index" : "",
-              out.c_str());
-  return 0;
-}
-
-// unpack: container -> CSV model prefix. Self-contained (the container
-// carries the world), so no --dir. pack(unpack(c)) reproduces c
-// byte-for-byte — pinned by tests/container_test.cc.
+// unpack: container -> human-readable CSV dump under a prefix (one-way).
+// Self-contained (the container carries the world), so no --dir.
 int RunUnpack(const Args& args) {
   if (!args.Has("model") || !args.Has("out")) return Usage();
   Result<std::shared_ptr<MappedContainer>> container =
@@ -436,8 +402,8 @@ int RunSummarize(const Args& args) {
   if (!args.Has("dir") || !args.Has("trip")) return Usage();
   Result<int> threads = ThreadsFlag(args);
   if (!threads.ok()) return Fail(threads.status());
-  // Declared before the world so it is destroyed after it: with a binary
-  // container model the network's hot arrays alias this mapping.
+  // Declared before the world so it is destroyed after it: with a model
+  // the network's hot arrays alias this mapping.
   std::shared_ptr<MappedContainer> container;
   Result<LoadedWorld> loaded = LoadWorld(args.Get("dir", "."));
   if (!loaded.ok()) return Fail(loaded.status());
@@ -450,9 +416,7 @@ int RunSummarize(const Args& args) {
         std::to_string(world.trajectories.size()) + ")"));
   }
 
-  const bool from_container =
-      args.Has("model") && IsContainerFile(args.Get("model", "model"));
-  if (from_container) {
+  if (args.Has("model")) {
     // A container carries its own world (network + landmarks with mined
     // significances); the --dir CSVs only supply the trajectory corpus.
     Result<std::shared_ptr<MappedContainer>> opened =
@@ -471,11 +435,8 @@ int RunSummarize(const Args& args) {
 
   STMaker maker(&world.network, world.landmarks.get(),
                 FeatureRegistry::BuiltIn(), MakerOptions(*threads));
-  if (from_container) {
+  if (container != nullptr) {
     Status st = maker.LoadModelContainer(*container);
-    if (!st.ok()) return Fail(st);
-  } else if (args.Has("model")) {
-    Status st = maker.LoadModel(args.Get("model", "model"));
     if (!st.ok()) return Fail(st);
   } else {
     // Train on everything except the queried trip.
@@ -601,7 +562,7 @@ int RunGroup(const Args& args) {
 //
 // Model lifecycle (both transports): the model is held by a ModelManager
 // as an immutable versioned snapshot; SIGHUP or a
-// {"reload": 1, "model_dir": "prefix"} request swaps in a freshly loaded
+// {"reload": 1, "model_dir": "path.stm"} request swaps in a freshly loaded
 // one with zero downtime (in-flight requests finish on the snapshot they
 // started with), and a failed load rolls back to the serving snapshot —
 // see core/model_manager.h and DESIGN.md §15.
@@ -845,7 +806,6 @@ int main(int argc, char** argv) {
   Args args = ParseArgs(argc, argv);
   if (args.command == "gen") return RunGen(args);
   if (args.command == "train") return RunTrain(args);
-  if (args.command == "pack") return RunPack(args);
   if (args.command == "unpack") return RunUnpack(args);
   if (args.command == "summarize") return RunSummarize(args);
   if (args.command == "stats") return RunStats(args);
