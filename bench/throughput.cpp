@@ -697,12 +697,14 @@ int Run(const char* out_path) {
   }
 
   // --- Model lifecycle: cold start, reload latency, and post-swap
-  // first-request cost. A dedicated small world (the reload path re-reads
-  // the serving corpus from disk, so the bench world's 3000-trip corpus
-  // would time dataset parsing, not the swap) staged the way `stmaker_cli
-  // gen`+`train` lay it out: trajectories.csv plus the model container.
-  // ModelReload_container is the wall time of a full Reload() — map,
-  // section CRCs, model restore, corpus read, commit;
+  // first-request cost, on a dedicated small world (300 trips) staged the
+  // way `stmaker_cli gen`+`train` lay it out: trajectories.csv plus the
+  // model container. Every Reload() re-reads the serving corpus from
+  // trajectories.csv, and at the 3,000-trip bench world that read is a
+  // large share of a reload (perfbench's `reload.corpus_ms` and
+  // `reload_ms` measure it there), so these rows understate a full-size
+  // reload. ModelReload_container is the wall time of a full Reload() —
+  // map, section CRCs, model restore, corpus read, commit;
   // PostSwapFirstRequest is the latency of the first summarize answered
   // by the freshly swapped snapshot (its caches are stone cold — that cost
   // is the price of the zero-downtime design and deserves its own row).
@@ -735,11 +737,12 @@ int Run(const char* out_path) {
     STMAKER_CHECK(
         lifecycle_world.maker->SaveModelContainer(container_path).ok());
 
-    // Cold start (docs/FORMAT.md): time from nothing-in-memory to a maker
-    // ready to answer, measured with direct loads rather than the
-    // ModelManager so the trajectories.csv parse does not mask it. mmap +
-    // header/CRC walk — no per-row text parse. RSS is sampled on the
-    // first rep only (see CurrentRssKb).
+    // Cold start of the model (docs/FORMAT.md): time from
+    // nothing-in-memory to a maker ready to answer, measured with direct
+    // loads rather than the ModelManager so the trajectories.csv read does
+    // not mask it. The model itself is mmap + header/CRC walk with no
+    // per-row text parse; the corpus is the one text parse a server's cold
+    // start adds. RSS is sampled on the first rep only (see CurrentRssKb).
     const int kColdReps = 5;
     std::vector<double> cold_container_ms;
     double cold_container_total = 0;

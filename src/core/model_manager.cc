@@ -36,7 +36,15 @@ ModelManager::ModelManager(const ModelManagerOptions& options)
       g_version_(MetricsRegistry::Global().gauge("model.version")),
       g_loaded_unix_ms_(
           MetricsRegistry::Global().gauge("model.loaded_unix_ms")),
-      h_reload_ms_(MetricsRegistry::Global().histogram("model.reload_ms")) {}
+      h_reload_ms_(MetricsRegistry::Global().histogram("model.reload_ms")),
+      h_reload_world_ms_(
+          MetricsRegistry::Global().histogram("model.reload.world_ms")),
+      h_reload_corpus_ms_(
+          MetricsRegistry::Global().histogram("model.reload.corpus_ms")),
+      h_reload_model_ms_(
+          MetricsRegistry::Global().histogram("model.reload.model_ms")),
+      h_reload_commit_ms_(
+          MetricsRegistry::Global().histogram("model.reload.commit_ms")) {}
 
 ModelManager::~ModelManager() {
   shutting_down_.store(true, std::memory_order_release);
@@ -75,14 +83,18 @@ std::shared_ptr<const ModelSnapshot> ModelManager::Current() const {
 void ModelManager::Publish(std::shared_ptr<const ModelSnapshot> snapshot) {
   g_version_.Set(static_cast<int64_t>(snapshot->version));
   g_loaded_unix_ms_.Set(snapshot->loaded_unix_ms);
-  std::lock_guard<std::mutex> lock(current_mu_);
-  current_ = std::move(snapshot);
-  // The displaced shared_ptr dies here (or when the last pinned request
-  // finishes) — never under current_mu_ held by a reader.
+  {
+    std::lock_guard<std::mutex> lock(current_mu_);
+    current_.swap(snapshot);
+  }
+  // `snapshot` now holds the displaced one. It dies here, outside
+  // current_mu_ so that freeing it never blocks Current(), or when the
+  // last request pinning it finishes.
 }
 
 Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
-    const std::string& model_prefix, uint64_t version, bool for_reload) {
+    const std::string& model_prefix, uint64_t version, bool for_reload,
+    LoadStages* stages) {
   const auto start = std::chrono::steady_clock::now();
   // Chaos/robustness seam: lets tests fail a (re)load before any real I/O,
   // proving the rollback path without staging corrupt files.
@@ -122,9 +134,13 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
     snapshot->landmarks = std::make_unique<LandmarkIndex>(
         LandmarkIndex::Build(snapshot->network, pois));
   }
+  stages->world_ms = MsSince(start);
+  const auto corpus_start = std::chrono::steady_clock::now();
   STMAKER_ASSIGN_OR_RETURN(
       snapshot->trajectories,
       ReadTrajectoriesCsv(options_.data_dir + "/trajectories.csv"));
+  stages->corpus_ms = MsSince(corpus_start);
+  const auto model_start = std::chrono::steady_clock::now();
 
   snapshot->maker = std::make_unique<STMaker>(
       &snapshot->network, snapshot->landmarks.get(),
@@ -152,6 +168,7 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
     snapshot->maker->DropRoadHierarchy();
   }
 
+  stages->model_ms = MsSince(model_start);
   snapshot->loaded_unix_ms = NowUnixMs();
   snapshot->load_ms = MsSince(start);
   return std::shared_ptr<const ModelSnapshot>(std::move(snapshot));
@@ -164,8 +181,9 @@ Status ModelManager::ReloadLocked(const std::string& model_prefix,
                                                   : model_prefix;
   const uint64_t version =
       next_version_.fetch_add(1, std::memory_order_relaxed);
+  LoadStages stages;
   Result<std::shared_ptr<const ModelSnapshot>> candidate =
-      LoadSnapshot(prefix, version, for_reload);
+      LoadSnapshot(prefix, version, for_reload, &stages);
   if (!candidate.ok()) {
     if (for_reload) {
       c_reload_failures_.Increment();
@@ -182,13 +200,20 @@ Status ModelManager::ReloadLocked(const std::string& model_prefix,
   if (for_reload) {
     c_reloads_ok_.Increment();
     h_reload_ms_.Observe((*candidate)->load_ms);
+    h_reload_world_ms_.Observe(stages.world_ms);
+    h_reload_corpus_ms_.Observe(stages.corpus_ms);
+    h_reload_model_ms_.Observe(stages.model_ms);
     std::fprintf(stderr,
-                 "stmaker: model reloaded from '%s' as v%llu in %.0f ms\n",
+                 "stmaker: model reloaded from '%s' as v%llu in %.0f ms "
+                 "(world %.0f, corpus %.0f, model %.0f)\n",
                  prefix.c_str(),
                  static_cast<unsigned long long>((*candidate)->version),
-                 (*candidate)->load_ms);
+                 (*candidate)->load_ms, stages.world_ms, stages.corpus_ms,
+                 stages.model_ms);
   }
+  const auto commit_start = std::chrono::steady_clock::now();
   Publish(*std::move(candidate));
+  if (for_reload) h_reload_commit_ms_.Observe(MsSince(commit_start));
   return Status::OK();
 }
 

@@ -35,7 +35,18 @@
 ///
 /// Metrics (global registry): model.version and model.loaded_unix_ms
 /// (gauges), model.reloads_ok and model.reload_failures (counters),
-/// model.reload_ms (histogram of successful reload wall time).
+/// model.reload_ms (histogram of successful reload wall time), and one
+/// histogram per reload stage, each observed once per successful reload
+/// so that `stats` alone shows where a slow reload went:
+///   - model.reload.world_ms: container open, network and landmarks (or,
+///     without a model, the network/POI CSVs and the landmark build);
+///   - model.reload.corpus_ms: reading the serving corpus,
+///     trajectories.csv, which every load re-reads;
+///   - model.reload.model_ms: LoadModelContainer (or in-process training)
+///     plus the hierarchy policy;
+///   - model.reload.commit_ms: the publish swap, including the release of
+///     the old snapshot when no request still pins it.
+/// world + corpus + model is model.reload_ms up to bookkeeping.
 
 #include <atomic>
 #include <condition_variable>
@@ -70,7 +81,7 @@ struct ModelSnapshot {
   std::string model_prefix;
   /// Wall-clock publish time (ms since the Unix epoch).
   int64_t loaded_unix_ms = 0;
-  /// Wall time the load took (world read + model parse + commit).
+  /// Wall time the load took: world, corpus and model (not the commit).
   double load_ms = 0;
 
   /// The mapped model container when the snapshot was loaded from one
@@ -173,8 +184,16 @@ class ModelManager {
   /// Builds a complete snapshot from disk (or in-process training). Pure:
   /// touches no manager state besides options, so a failure leaves
   /// nothing to roll back. `for_reload` selects the hierarchy policy.
+  /// Wall time of LoadSnapshot's stages (see the model.reload.* metrics).
+  struct LoadStages {
+    double world_ms = 0;
+    double corpus_ms = 0;
+    double model_ms = 0;
+  };
+
   Result<std::shared_ptr<const ModelSnapshot>> LoadSnapshot(
-      const std::string& model_prefix, uint64_t version, bool for_reload);
+      const std::string& model_prefix, uint64_t version, bool for_reload,
+      LoadStages* stages);
 
   /// The serialized body shared by Initialize/Reload: load, then publish
   /// or roll back. Caller must hold reload_mu_.
@@ -198,6 +217,10 @@ class ModelManager {
   Gauge& g_version_;
   Gauge& g_loaded_unix_ms_;
   Histogram& h_reload_ms_;
+  Histogram& h_reload_world_ms_;
+  Histogram& h_reload_corpus_ms_;
+  Histogram& h_reload_model_ms_;
+  Histogram& h_reload_commit_ms_;
 
   std::atomic<bool> sighup_pending_{false};
   std::atomic<bool> shutting_down_{false};

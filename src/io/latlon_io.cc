@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/csv.h"
 #include "common/strings.h"
@@ -34,15 +33,6 @@ void CivilFromDays(int64_t z, int* y, unsigned* m, unsigned* d) {
   *d = doy - (153 * mp + 2) / 5 + 1;
   *m = mp + (mp < 10 ? 3 : -9);
   *y = static_cast<int>(yy + (*m <= 2));
-}
-
-Result<double> ParseDouble(const std::string& field) {
-  char* end = nullptr;
-  double v = std::strtod(field.c_str(), &end);
-  if (end == field.c_str() || *end != '\0') {
-    return Status::InvalidArgument("not a number: '" + field + "'");
-  }
-  return v;
 }
 
 }  // namespace
@@ -103,27 +93,34 @@ Status WriteLatLonTrajectoriesCsv(
 
 Result<std::vector<RawTrajectory>> ReadLatLonTrajectoriesCsv(
     const std::string& path, const LocalProjection& projection) {
+  enum Column { kId, kLat, kLon, kTimestamp };
   STMAKER_ASSIGN_OR_RETURN(
-      auto rows, ReadCsvTable(path, {"trajectory_id", "latitude", "longitude",
-                                     "timestamp"}));
+      CsvTableReader reader,
+      CsvTableReader::Open(
+          path, {"trajectory_id", "latitude", "longitude", "timestamp"}));
   std::vector<RawTrajectory> out;
   std::string current_id;
-  bool have_current = false;
-  for (size_t r = 0; r < rows.size(); ++r) {
-    const auto& row = rows[r];
-    STMAKER_ASSIGN_OR_RETURN(double lat, ParseDouble(row[1]));
-    STMAKER_ASSIGN_OR_RETURN(double lon, ParseDouble(row[2]));
-    STMAKER_ASSIGN_OR_RETURN(double time, ParsePaperTimestamp(row[3]));
-    if (lat < -90 || lat > 90 || lon < -180 || lon > 180) {
-      return Status::InvalidArgument(path + ": coordinate out of range in row " +
-                                     std::to_string(r + 1));
+  for (;;) {
+    STMAKER_ASSIGN_OR_RETURN(bool more, reader.Next());
+    if (!more) break;
+    STMAKER_ASSIGN_OR_RETURN(double lat, reader.Double(kLat));
+    STMAKER_ASSIGN_OR_RETURN(double lon, reader.Double(kLon));
+    Result<double> time =
+        ParsePaperTimestamp(std::string(reader.field(kTimestamp)));
+    if (!time.ok()) {
+      return reader.FieldError(kTimestamp, time.status().message());
     }
-    if (!have_current || row[0] != current_id) {
+    if (lat < -90 || lat > 90) {
+      return reader.FieldError(kLat, "coordinate out of range");
+    }
+    if (lon < -180 || lon > 180) {
+      return reader.FieldError(kLon, "coordinate out of range");
+    }
+    if (out.empty() || reader.field(kId) != current_id) {
       out.emplace_back();
-      current_id = row[0];
-      have_current = true;
+      current_id = reader.field(kId);
     }
-    out.back().samples.push_back({projection.ToXY({lat, lon}), time});
+    out.back().samples.push_back({projection.ToXY({lat, lon}), *time});
   }
   return out;
 }

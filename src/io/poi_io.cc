@@ -1,7 +1,5 @@
 #include "io/poi_io.h"
 
-#include <cstdlib>
-
 #include "common/csv.h"
 #include "common/strings.h"
 
@@ -20,20 +18,15 @@ Status WritePoisCsv(const std::string& path,
 }
 
 Result<std::vector<RawPoi>> ReadPoisCsv(const std::string& path) {
-  STMAKER_ASSIGN_OR_RETURN(auto rows, ReadCsvTable(path, {"x", "y", "name"}));
+  STMAKER_ASSIGN_OR_RETURN(CsvTableReader reader,
+                           CsvTableReader::Open(path, {"x", "y", "name"}));
   std::vector<RawPoi> out;
-  for (size_t r = 0; r < rows.size(); ++r) {
-    const auto& row = rows[r];
-    char* end = nullptr;
-    double x = std::strtod(row[0].c_str(), &end);
-    if (end == row[0].c_str() || *end != '\0') {
-      return Status::InvalidArgument("bad x: " + row[0]);
-    }
-    double y = std::strtod(row[1].c_str(), &end);
-    if (end == row[1].c_str() || *end != '\0') {
-      return Status::InvalidArgument("bad y: " + row[1]);
-    }
-    out.push_back({{x, y}, row[2]});
+  for (;;) {
+    STMAKER_ASSIGN_OR_RETURN(bool more, reader.Next());
+    if (!more) break;
+    STMAKER_ASSIGN_OR_RETURN(double x, reader.Double(0));
+    STMAKER_ASSIGN_OR_RETURN(double y, reader.Double(1));
+    out.push_back({{x, y}, std::string(reader.field(2))});
   }
   return out;
 }

@@ -1,33 +1,9 @@
 #include "io/road_network_io.h"
 
-#include <cstdlib>
-
 #include "common/csv.h"
 #include "common/strings.h"
 
 namespace stmaker {
-
-namespace {
-
-Result<double> ParseDouble(const std::string& field) {
-  char* end = nullptr;
-  double v = std::strtod(field.c_str(), &end);
-  if (end == field.c_str() || *end != '\0') {
-    return Status::InvalidArgument("not a number: '" + field + "'");
-  }
-  return v;
-}
-
-Result<int64_t> ParseInt(const std::string& field) {
-  char* end = nullptr;
-  long long v = std::strtoll(field.c_str(), &end, 10);
-  if (end == field.c_str() || *end != '\0') {
-    return Status::InvalidArgument("not an integer: '" + field + "'");
-  }
-  return static_cast<int64_t>(v);
-}
-
-}  // namespace
 
 Status WriteRoadNetworkCsv(const std::string& prefix,
                            const RoadNetwork& network) {
@@ -66,50 +42,55 @@ Result<RoadNetwork> ReadRoadNetworkCsv(const std::string& prefix) {
   RoadNetwork network;
 
   STMAKER_ASSIGN_OR_RETURN(
-      auto node_rows,
-      ReadCsvTable(prefix + "_nodes.csv", {"node_id", "x", "y"}));
-  for (size_t r = 0; r < node_rows.size(); ++r) {
-    const auto& row = node_rows[r];
-    STMAKER_ASSIGN_OR_RETURN(int64_t id, ParseInt(row[0]));
-    STMAKER_ASSIGN_OR_RETURN(double x, ParseDouble(row[1]));
-    STMAKER_ASSIGN_OR_RETURN(double y, ParseDouble(row[2]));
+      CsvTableReader nodes,
+      CsvTableReader::Open(prefix + "_nodes.csv", {"node_id", "x", "y"}));
+  for (;;) {
+    STMAKER_ASSIGN_OR_RETURN(bool more, nodes.Next());
+    if (!more) break;
+    STMAKER_ASSIGN_OR_RETURN(int64_t id, nodes.Int(0));
+    STMAKER_ASSIGN_OR_RETURN(double x, nodes.Double(1));
+    STMAKER_ASSIGN_OR_RETURN(double y, nodes.Double(2));
     NodeId assigned = network.AddNode({x, y});
     if (assigned != id) {
-      return Status::InvalidArgument(
-          "node ids must be dense and in file order");
+      return nodes.FieldError(0, "node ids must be dense and in file order");
     }
   }
 
+  enum EdgeColumn { kId, kFrom, kTo, kGrade, kWidth, kDirection, kName, kBias };
   STMAKER_ASSIGN_OR_RETURN(
-      auto edge_rows,
-      ReadCsvTable(prefix + "_edges.csv",
-                   {"edge_id", "from", "to", "grade", "width", "direction",
-                    "name", "bias"}));
-  for (size_t r = 0; r < edge_rows.size(); ++r) {
-    const auto& row = edge_rows[r];
-    STMAKER_ASSIGN_OR_RETURN(int64_t id, ParseInt(row[0]));
-    STMAKER_ASSIGN_OR_RETURN(int64_t from, ParseInt(row[1]));
-    STMAKER_ASSIGN_OR_RETURN(int64_t to, ParseInt(row[2]));
-    STMAKER_ASSIGN_OR_RETURN(int64_t grade, ParseInt(row[3]));
-    STMAKER_ASSIGN_OR_RETURN(double width, ParseDouble(row[4]));
-    STMAKER_ASSIGN_OR_RETURN(int64_t direction, ParseInt(row[5]));
-    STMAKER_ASSIGN_OR_RETURN(double bias, ParseDouble(row[7]));
+      CsvTableReader edges,
+      CsvTableReader::Open(prefix + "_edges.csv",
+                           {"edge_id", "from", "to", "grade", "width",
+                            "direction", "name", "bias"}));
+  for (;;) {
+    STMAKER_ASSIGN_OR_RETURN(bool more, edges.Next());
+    if (!more) break;
+    STMAKER_ASSIGN_OR_RETURN(int64_t id, edges.Int(kId));
+    STMAKER_ASSIGN_OR_RETURN(int64_t from, edges.Int(kFrom));
+    STMAKER_ASSIGN_OR_RETURN(int64_t to, edges.Int(kTo));
+    STMAKER_ASSIGN_OR_RETURN(int64_t grade, edges.Int(kGrade));
+    STMAKER_ASSIGN_OR_RETURN(double width, edges.Double(kWidth));
+    STMAKER_ASSIGN_OR_RETURN(int64_t direction, edges.Int(kDirection));
+    STMAKER_ASSIGN_OR_RETURN(double bias, edges.Double(kBias));
     if (!IsValidRoadGrade(static_cast<int>(grade))) {
-      return Status::InvalidArgument(
-          StrFormat("invalid road grade %lld", static_cast<long long>(grade)));
+      return edges.FieldError(
+          kGrade, StrFormat("invalid road grade %lld",
+                            static_cast<long long>(grade)));
     }
     if (direction != 1 && direction != 2) {
-      return Status::InvalidArgument("invalid traffic direction");
+      return edges.FieldError(
+          kDirection, StrFormat("invalid traffic direction %lld",
+                                static_cast<long long>(direction)));
     }
-    STMAKER_ASSIGN_OR_RETURN(
-        EdgeId assigned,
+    Result<EdgeId> assigned =
         network.AddEdge(from, to, static_cast<RoadGrade>(grade), width,
-                        static_cast<TrafficDirection>(direction), row[6]));
-    if (assigned != id) {
-      return Status::InvalidArgument(
-          "edge ids must be dense and in file order");
+                        static_cast<TrafficDirection>(direction),
+                        std::string(edges.field(kName)));
+    if (!assigned.ok()) return edges.RowError(assigned.status().message());
+    if (*assigned != id) {
+      return edges.FieldError(kId, "edge ids must be dense and in file order");
     }
-    network.mutable_edge(assigned).cost_bias = bias;
+    network.mutable_edge(*assigned).cost_bias = bias;
   }
 
   network.AnnotateTurningPoints();

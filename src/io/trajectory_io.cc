@@ -1,33 +1,11 @@
 #include "io/trajectory_io.h"
 
-#include <cstdlib>
+#include <unordered_set>
 
 #include "common/csv.h"
 #include "common/strings.h"
 
 namespace stmaker {
-
-namespace {
-
-Result<double> ParseDouble(const std::string& field) {
-  char* end = nullptr;
-  double v = std::strtod(field.c_str(), &end);
-  if (end == field.c_str() || *end != '\0') {
-    return Status::InvalidArgument("not a number: '" + field + "'");
-  }
-  return v;
-}
-
-Result<int64_t> ParseInt(const std::string& field) {
-  char* end = nullptr;
-  long long v = std::strtoll(field.c_str(), &end, 10);
-  if (end == field.c_str() || *end != '\0') {
-    return Status::InvalidArgument("not an integer: '" + field + "'");
-  }
-  return static_cast<int64_t>(v);
-}
-
-}  // namespace
 
 Status WriteTrajectoriesCsv(const std::string& path,
                             const std::vector<RawTrajectory>& trajectories) {
@@ -48,33 +26,31 @@ Status WriteTrajectoriesCsv(const std::string& path,
 
 Result<std::vector<RawTrajectory>> ReadTrajectoriesCsv(
     const std::string& path) {
+  enum Column { kId, kTraveler, kX, kY, kTime };
   STMAKER_ASSIGN_OR_RETURN(
-      auto rows,
-      ReadCsvTable(path, {"trajectory_id", "traveler", "x", "y", "time"}));
+      CsvTableReader reader,
+      CsvTableReader::Open(path,
+                           {"trajectory_id", "traveler", "x", "y", "time"}));
 
   std::vector<RawTrajectory> out;
-  int64_t current_id = -1;
-  bool have_current = false;
-  std::vector<int64_t> seen_ids;
-  for (size_t r = 0; r < rows.size(); ++r) {
-    const auto& row = rows[r];
-    STMAKER_ASSIGN_OR_RETURN(int64_t id, ParseInt(row[0]));
-    STMAKER_ASSIGN_OR_RETURN(int64_t traveler, ParseInt(row[1]));
-    STMAKER_ASSIGN_OR_RETURN(double x, ParseDouble(row[2]));
-    STMAKER_ASSIGN_OR_RETURN(double y, ParseDouble(row[3]));
-    STMAKER_ASSIGN_OR_RETURN(double time, ParseDouble(row[4]));
-    if (!have_current || id != current_id) {
-      for (int64_t prev : seen_ids) {
-        if (prev == id) {
-          return Status::InvalidArgument(
-              StrFormat("trajectory id %lld is interleaved",
-                        static_cast<long long>(id)));
-        }
+  int64_t current_id = 0;
+  std::unordered_set<int64_t> seen_ids;
+  for (;;) {
+    STMAKER_ASSIGN_OR_RETURN(bool more, reader.Next());
+    if (!more) break;
+    STMAKER_ASSIGN_OR_RETURN(int64_t id, reader.Int(kId));
+    STMAKER_ASSIGN_OR_RETURN(int64_t traveler, reader.Int(kTraveler));
+    STMAKER_ASSIGN_OR_RETURN(double x, reader.Double(kX));
+    STMAKER_ASSIGN_OR_RETURN(double y, reader.Double(kY));
+    STMAKER_ASSIGN_OR_RETURN(double time, reader.Double(kTime));
+    if (out.empty() || id != current_id) {
+      if (!seen_ids.insert(id).second) {
+        return reader.FieldError(
+            kId, StrFormat("trajectory id %lld is interleaved",
+                           static_cast<long long>(id)));
       }
-      seen_ids.push_back(id);
       out.emplace_back();
       current_id = id;
-      have_current = true;
     }
     out.back().traveler = traveler;
     out.back().samples.push_back({{x, y}, time});

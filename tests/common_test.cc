@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 #include <utility>
@@ -325,8 +328,28 @@ TEST(StringsTest, FormatDuration) {
 // CSV
 // --------------------------------------------------------------------------
 
+using CsvRows = std::vector<std::vector<std::string>>;
+
+// Drains a CsvTableReader over `text` into owned rows.
+Result<CsvRows> ReadTable(const std::string& text,
+                          const std::vector<std::string>& header,
+                          const std::string& context = "test.csv") {
+  STMAKER_ASSIGN_OR_RETURN(CsvTableReader reader,
+                           CsvTableReader::FromText(text, header, context));
+  CsvRows rows;
+  for (;;) {
+    STMAKER_ASSIGN_OR_RETURN(bool more, reader.Next());
+    if (!more) break;
+    rows.emplace_back();
+    for (size_t c = 0; c < header.size(); ++c) {
+      rows.back().emplace_back(reader.field(c));
+    }
+  }
+  return rows;
+}
+
 TEST(CsvTest, ParseSimple) {
-  auto rows = ParseCsv("a,b\nc,d\n");
+  auto rows = ReadTable("x,y\na,b\nc,d\n", {"x", "y"});
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 2u);
   EXPECT_EQ((*rows)[0], (std::vector<std::string>{"a", "b"}));
@@ -334,29 +357,71 @@ TEST(CsvTest, ParseSimple) {
 }
 
 TEST(CsvTest, ParseQuotedFields) {
-  auto rows = ParseCsv("\"a,b\",\"say \"\"hi\"\"\"\n");
+  auto rows = ReadTable("x,y\n\"a,b\",\"say \"\"hi\"\"\"\n", {"x", "y"});
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 1u);
   EXPECT_EQ((*rows)[0], (std::vector<std::string>{"a,b", "say \"hi\""}));
 }
 
+TEST(CsvTest, QuotedNewlineStaysInOneRecord) {
+  auto rows = ReadTable("x,y\n\"multi\nline\",b\nc,d\n", {"x", "y"});
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 2u);
+  EXPECT_EQ((*rows)[0], (std::vector<std::string>{"multi\nline", "b"}));
+  // Errors count records, not lines: the short record is row 3.
+  auto ragged = ReadTable("x,y\n\"multi\nline\",b\nc\n", {"x", "y"});
+  ASSERT_FALSE(ragged.ok());
+  EXPECT_NE(ragged.status().message().find("row 3:"), std::string::npos)
+      << ragged.status().message();
+}
+
 TEST(CsvTest, ParseHandlesCrlfAndMissingFinalNewline) {
-  auto rows = ParseCsv("a,b\r\nc,d");
+  auto rows = ReadTable("x,y\r\na,b\r\nc,d", {"x", "y"});
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 2u);
   EXPECT_EQ((*rows)[1], (std::vector<std::string>{"c", "d"}));
 }
 
-TEST(CsvTest, ParseEmptyInput) {
-  auto rows = ParseCsv("");
+TEST(CsvTest, CarriageReturnsDropOutsideQuotesOnly) {
+  auto rows = ReadTable("x,y\na\rb,\"c\rd\"\n\r", {"x", "y"});
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u);  // trailing bare CRs hold no record
+  EXPECT_EQ((*rows)[0], (std::vector<std::string>{"ab", "c\rd"}));
+}
+
+TEST(CsvTest, SeveralQuotedFieldsInOneRowAllStayValid) {
+  // Both fields land in the shared scratch buffer; the first view must
+  // survive the second field's copy.
+  std::string long_field(200, 'q');
+  auto rows = ReadTable("x,y\n\"a\",\"" + long_field + "\"\n", {"x", "y"});
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0], (std::vector<std::string>{"a", long_field}));
+}
+
+TEST(CsvTest, ParseEmptyInputHasNoHeader) {
+  for (const char* text : {"", "\r\r"}) {
+    auto rows = ReadTable(text, {"x", "y"});
+    ASSERT_FALSE(rows.ok());
+    EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rows.status().message().find("missing CSV header"),
+              std::string::npos);
+  }
+}
+
+TEST(CsvTest, HeaderOnlyTableHasNoRows) {
+  auto rows = ReadTable("x,y\n", {"x", "y"});
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
 }
 
 TEST(CsvTest, ParseUnterminatedQuoteFails) {
-  auto rows = ParseCsv("\"oops");
-  EXPECT_FALSE(rows.ok());
+  auto rows = ReadTable("x,y\n1,2\n\"oops,3\n", {"x", "y"}, "open.csv");
+  ASSERT_FALSE(rows.ok());
   EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rows.status().message().find("open.csv: row 3"),
+            std::string::npos)
+      << rows.status().message();
 }
 
 TEST(CsvTest, WriteReadRoundTrip) {
@@ -364,16 +429,26 @@ TEST(CsvTest, WriteReadRoundTrip) {
   {
     auto writer = CsvWriter::Open(path);
     ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer->WriteRow({"a", "b", "c"}).ok());
     ASSERT_TRUE(writer->WriteRow({"plain", "with,comma", "with\"quote"}).ok());
     ASSERT_TRUE(writer->WriteRow({"second", "line", "multi\nline"}).ok());
     ASSERT_TRUE(writer->Close().ok());
   }
-  auto rows = ReadCsvFile(path);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 2u);
-  EXPECT_EQ((*rows)[0],
+  auto reader = CsvTableReader::Open(path, {"a", "b", "c"});
+  ASSERT_TRUE(reader.ok());
+  CsvRows rows;
+  for (;;) {
+    auto more = reader->Next();
+    ASSERT_TRUE(more.ok());
+    if (!*more) break;
+    rows.push_back({std::string(reader->field(0)),
+                    std::string(reader->field(1)),
+                    std::string(reader->field(2))});
+  }
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0],
             (std::vector<std::string>{"plain", "with,comma", "with\"quote"}));
-  EXPECT_EQ((*rows)[1],
+  EXPECT_EQ(rows[1],
             (std::vector<std::string>{"second", "line", "multi\nline"}));
 }
 
@@ -395,53 +470,114 @@ TEST(CsvTest, OpenBadPathFails) {
 // CSV tables (schema-checked rectangular CSV)
 // --------------------------------------------------------------------------
 
-TEST(CsvTableTest, ReturnsDataRowsWithoutHeader) {
-  auto rows = ParseCsvTable("x,y\n1,2\n3,4\n", {"x", "y"}, "test.csv");
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 2u);
-  EXPECT_EQ((*rows)[0], (std::vector<std::string>{"1", "2"}));
-  EXPECT_EQ((*rows)[1], (std::vector<std::string>{"3", "4"}));
-}
-
 TEST(CsvTableTest, RejectsWrongHeader) {
-  auto rows = ParseCsvTable("a,b\n1,2\n", {"x", "y"}, "test.csv");
+  auto rows = ReadTable("a,b\n1,2\n", {"x", "y"});
   ASSERT_FALSE(rows.ok());
   EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(rows.status().message().find("test.csv"), std::string::npos);
-}
-
-TEST(CsvTableTest, RejectsEmptyInput) {
-  auto rows = ParseCsvTable("", {"x", "y"}, "test.csv");
-  ASSERT_FALSE(rows.ok());
-  EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
+  // A quoted header cell compares by its unquoted value.
+  EXPECT_TRUE(ReadTable("\"x\",y\n1,2\n", {"x", "y"}).ok());
+  EXPECT_FALSE(ReadTable("x,y,z\n1,2\n", {"x", "y"}).ok());
 }
 
 TEST(CsvTableTest, RaggedRowIsAnErrorWithRowContext) {
   // A short row used to be silently accepted by schemaless readers; the
   // table layer must name the file and the offending row instead.
-  auto rows = ParseCsvTable("x,y\n1,2\n3\n5,6\n", {"x", "y"}, "poison.csv");
+  auto rows = ReadTable("x,y\n1,2\n3\n5,6\n", {"x", "y"}, "poison.csv");
   ASSERT_FALSE(rows.ok());
   EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(rows.status().message().find("poison.csv"), std::string::npos);
   EXPECT_NE(rows.status().message().find("row 3"), std::string::npos)
       << rows.status().message();
 
-  auto wide = ParseCsvTable("x,y\n1,2,3\n", {"x", "y"}, "wide.csv");
+  auto wide = ReadTable("x,y\n1,2,3\n", {"x", "y"}, "wide.csv");
   ASSERT_FALSE(wide.ok());
   EXPECT_EQ(wide.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(wide.status().message().find("row 2"), std::string::npos);
+
+  // A blank line is a one-field record, so it is ragged too.
+  EXPECT_FALSE(ReadTable("x,y\n1,2\n\n3,4\n", {"x", "y"}).ok());
 }
 
-TEST(CsvTableTest, ReadCsvTableCarriesPathContext) {
+TEST(CsvTableTest, TypedFieldsNameRowAndColumn) {
+  auto reader = CsvTableReader::FromText("x,y\n1,2\n3,abc\n", {"x", "y"},
+                                         "typed.csv");
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(*reader->Next());
+  EXPECT_EQ(*reader->Int(0), 1);
+  EXPECT_EQ(*reader->Double(1), 2.0);
+  ASSERT_TRUE(*reader->Next());
+  auto bad = reader->Double(1);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.status().message(),
+            "typed.csv: row 3, column 'y': not a number: 'abc'");
+}
+
+TEST(CsvTableTest, OpenCarriesPathContext) {
   std::string path = ::testing::TempDir() + "/stmaker_table_ragged.csv";
   ASSERT_TRUE(WriteFileToPath(path, "x,y\n1\n").ok());
-  auto rows = ReadCsvTable(path, {"x", "y"});
-  ASSERT_FALSE(rows.ok());
-  EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(rows.status().message().find(path), std::string::npos);
+  auto reader = CsvTableReader::Open(path, {"x", "y"});
+  ASSERT_TRUE(reader.ok());
+  auto row = reader->Next();
+  ASSERT_FALSE(row.ok());
+  EXPECT_EQ(row.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(row.status().message().find(path), std::string::npos);
 
-  auto missing = ReadCsvTable("/nonexistent_dir_zz/t.csv", {"x", "y"});
+  auto missing = CsvTableReader::Open("/nonexistent_dir_zz/t.csv", {"x", "y"});
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
+}
+
+// --------------------------------------------------------------------------
+// Whole-field numbers (the strtod / strtoll language)
+// --------------------------------------------------------------------------
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(NumericFieldTest, DoublesMatchStrtodBitForBit) {
+  for (const char* text :
+       {"0", "-0", "1.5", "-2.25", "123456.789", "1e-300", "4e-320", ".5",
+        "5.", "+3", " 7", "\t8", "0x1p3", "0X1A", "inf", "-Infinity", "nan",
+        "-nan", "nan(123)", "1e999", "-1e999", "0.1", "2.2250738585072014e-308",
+        "179769313486231570000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000000"
+        "00000"}) {
+    char* end = nullptr;
+    const double want = std::strtod(text, &end);
+    ASSERT_EQ(*end, '\0') << text;
+    auto got = ParseDoubleField(text);
+    ASSERT_TRUE(got.has_value()) << text;
+    EXPECT_TRUE(SameBits(*got, want)) << text;
+  }
+}
+
+TEST(NumericFieldTest, RejectsWhatStrtodDoesNotConsumeWhole) {
+  for (const char* text : {"", " ", "abc", "1 ", "1e", "1.5x", "--1", "+",
+                           "0x", "1,2", "e5"}) {
+    EXPECT_FALSE(ParseDoubleField(text).has_value()) << "'" << text << "'";
+  }
+  // A NUL ends the field for strtod, exactly as it did on a c_str().
+  EXPECT_EQ(ParseDoubleField(std::string_view("2\0x", 3)), 2.0);
+}
+
+TEST(NumericFieldTest, IntegersMatchStrtoll) {
+  EXPECT_EQ(ParseIntField("42"), 42);
+  EXPECT_EQ(ParseIntField("-7"), -7);
+  EXPECT_EQ(ParseIntField("+7"), 7);
+  EXPECT_EQ(ParseIntField("  9"), 9);
+  EXPECT_EQ(ParseIntField("99999999999999999999"),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(ParseIntField("-99999999999999999999"),
+            std::numeric_limits<int64_t>::min());
+  for (const char* text : {"", "1.0", "0x10", "1e3", "12 ", "abc", "-"}) {
+    EXPECT_FALSE(ParseIntField(text).has_value()) << "'" << text << "'";
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <sstream>
 
 #include "common/csv.h"
+#include "common/fileutil.h"
+#include "common/strings.h"
 #include "io/json.h"
 #include "io/geojson.h"
 #include "io/latlon_io.h"
@@ -96,10 +98,17 @@ TEST(TrajectoryIoTest, RejectsNonNumericField) {
                     ->WriteRow({"trajectory_id", "traveler", "x", "y",
                                 "time"})
                     .ok());
+    ASSERT_TRUE(writer->WriteRow({"0", "1", "2", "0", "0"}).ok());
     ASSERT_TRUE(writer->WriteRow({"0", "1", "abc", "0", "0"}).ok());
     ASSERT_TRUE(writer->Close().ok());
   }
-  EXPECT_FALSE(ReadTrajectoriesCsv(path).ok());
+  auto read = ReadTrajectoriesCsv(path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+  // An operator can find the bad field: path, 1-based row (the header is
+  // row 1), and column.
+  EXPECT_EQ(read.status().message(),
+            path + ": row 3, column 'x': not a number: 'abc'");
 }
 
 TEST(TrajectoryIoTest, RejectsInterleavedIds) {
@@ -116,7 +125,30 @@ TEST(TrajectoryIoTest, RejectsInterleavedIds) {
     ASSERT_TRUE(writer->WriteRow({"0", "1", "5", "0", "5"}).ok());
     ASSERT_TRUE(writer->Close().ok());
   }
-  EXPECT_FALSE(ReadTrajectoriesCsv(path).ok());
+  auto read = ReadTrajectoriesCsv(path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_NE(read.status().message().find("row 4, column 'trajectory_id'"),
+            std::string::npos)
+      << read.status().message();
+
+  // A repeat after 20,000 distinct ids: still caught, in linear time.
+  std::string text = "trajectory_id,traveler,x,y,time\n";
+  constexpr int kTrips = 20000;
+  for (int id = 0; id < kTrips; ++id) {
+    text += std::to_string(id) + ",1,0,0,0\n";
+  }
+  text += "17,1,0,0,0\n";
+  std::string many = TempPath("traj_interleaved_many.csv");
+  ASSERT_TRUE(WriteFileToPath(many, text).ok());
+  auto late = ReadTrajectoriesCsv(many);
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(late.status().message().find(
+                StrFormat("row %d, column 'trajectory_id': trajectory id 17 "
+                          "is interleaved",
+                          kTrips + 2)),
+            std::string::npos)
+      << late.status().message();
 }
 
 TEST(TrajectoryIoTest, MissingFileIsIoError) {
@@ -179,7 +211,10 @@ TEST(RoadNetworkIoTest, RejectsInvalidGrade) {
         edges->WriteRow({"0", "0", "1", "9", "10", "1", "X", "1.0"}).ok());
     ASSERT_TRUE(edges->Close().ok());
   }
-  EXPECT_FALSE(ReadRoadNetworkCsv(prefix).ok());
+  auto read = ReadRoadNetworkCsv(prefix);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().message(),
+            prefix + "_edges.csv: row 2, column 'grade': invalid road grade 9");
 }
 
 // --------------------------------------------------------------------------
@@ -199,6 +234,16 @@ TEST(PoiIoTest, RoundTripWithQuotedNames) {
     EXPECT_NEAR((*loaded)[i].pos.x, pois[i].pos.x, 1e-3);
     EXPECT_EQ((*loaded)[i].name, pois[i].name);
   }
+}
+
+TEST(PoiIoTest, BadCoordinateNamesRowAndColumn) {
+  std::string path = TempPath("pois_bad.csv");
+  ASSERT_TRUE(WriteFileToPath(path, "x,y,name\n1,2,A\n3,4,B\n5,,C\n").ok());
+  auto loaded = ReadPoisCsv(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(loaded.status().message(),
+            path + ": row 4, column 'y': not a number: ''");
 }
 
 // --------------------------------------------------------------------------
@@ -358,7 +403,10 @@ TEST(LatLonIoTest, RejectsOutOfRangeCoordinates) {
     ASSERT_TRUE(writer->Close().ok());
   }
   LocalProjection projection(LatLon{39.9, 116.4});
-  EXPECT_FALSE(ReadLatLonTrajectoriesCsv(path, projection).ok());
+  auto read = ReadLatLonTrajectoriesCsv(path, projection);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().message(),
+            path + ": row 2, column 'latitude': coordinate out of range");
 }
 
 

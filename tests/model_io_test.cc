@@ -2,9 +2,11 @@
 #include <sys/stat.h>
 
 #include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/model_manager.h"
 #include "core/stmaker.h"
 #include "io/trajectory_io.h"
@@ -267,6 +269,39 @@ TEST_F(ModelIoTest, ManagerReloadRollsBackWhenCandidateLosesHierarchy) {
   ASSERT_TRUE(manager.Reload(dir + "/model.stm").ok());
   EXPECT_EQ(manager.Current()->version, before->version + 2);
   EXPECT_EQ(manager.reloads_ok(), base_ok + 1);
+}
+
+TEST_F(ModelIoTest, ManagerReloadObservesEachStageOnce) {
+  const std::string& dir = GetManagerWorldDir();
+  ModelManagerOptions opts;
+  opts.data_dir = dir;
+  opts.model_prefix = dir + "/model.stm";
+  ModelManager manager(opts);
+  ASSERT_TRUE(manager.Initialize().ok());
+
+  // The registry is process-global: compare counts around one reload.
+  const std::vector<std::string> stages = {
+      "model.reload.world_ms", "model.reload.corpus_ms",
+      "model.reload.model_ms", "model.reload.commit_ms"};
+  std::vector<uint64_t> before;
+  for (const std::string& name : stages) {
+    before.push_back(MetricsRegistry::Global().histogram(name).count());
+  }
+  ASSERT_TRUE(manager.Reload().ok());
+  for (size_t i = 0; i < stages.size(); ++i) {
+    EXPECT_EQ(MetricsRegistry::Global().histogram(stages[i]).count(),
+              before[i] + 1)
+        << stages[i];
+  }
+
+  // A failed reload observes no stage: the histograms time reloads that
+  // published.
+  ASSERT_FALSE(manager.Reload(dir + "/missing.stm").ok());
+  for (size_t i = 0; i < stages.size(); ++i) {
+    EXPECT_EQ(MetricsRegistry::Global().histogram(stages[i]).count(),
+              before[i] + 1)
+        << stages[i];
+  }
 }
 
 TEST_F(ModelIoTest, ManagerBackToBackReloadsAreSerializedFifo) {

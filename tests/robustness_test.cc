@@ -10,19 +10,24 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "common/context.h"
+#include "common/csv.h"
 #include "common/failpoint.h"
 #include "common/fileutil.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "core/stmaker.h"
+#include "io/poi_io.h"
+#include "io/road_network_io.h"
 #include "io/summary_json.h"
 #include "io/trajectory_io.h"
+#include "reference_csv.h"
 #include "roadnet/shortest_path.h"
 #include "test_world.h"
 #include "traj/sanitize.h"
@@ -408,26 +413,211 @@ TEST(DegradedServingTest, JsonMarksNoBaselineFeatures) {
 // Fuzzed CSV inputs
 // --------------------------------------------------------------------------
 
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Both readers must agree on the outcome: the same ok/error verdict and
+/// status code, and a clean (non-empty) message on error.
+template <typename T>
+void ExpectSameOutcome(const Result<T>& streamed, const Result<T>& reference,
+                       const std::string& input) {
+  ASSERT_EQ(streamed.ok(), reference.ok())
+      << "streamed: " << streamed.status().ToString()
+      << "\nreference: " << reference.status().ToString() << "\ninput:\n"
+      << input;
+  if (!streamed.ok()) {
+    EXPECT_EQ(streamed.status().code(), reference.status().code()) << input;
+    EXPECT_FALSE(streamed.status().message().empty());
+  }
+}
+
+void ExpectSameCorpus(const std::vector<RawTrajectory>& streamed,
+                      const std::vector<RawTrajectory>& reference) {
+  ASSERT_EQ(streamed.size(), reference.size());
+  for (size_t t = 0; t < streamed.size(); ++t) {
+    EXPECT_EQ(streamed[t].traveler, reference[t].traveler);
+    ASSERT_EQ(streamed[t].samples.size(), reference[t].samples.size());
+    EXPECT_EQ(std::memcmp(streamed[t].samples.data(),
+                          reference[t].samples.data(),
+                          streamed[t].samples.size() * sizeof(RawSample)),
+              0)
+        << "trip " << t;
+  }
+}
+
+/// Replaces `count` random bytes of `text` with bytes from `alphabet`.
+std::string Mutate(std::string text, int count, const std::string& alphabet,
+                   Random* rng) {
+  for (int i = 0; i < count && !text.empty(); ++i) {
+    text[rng->UniformInt(static_cast<uint64_t>(text.size()))] =
+        alphabet[rng->UniformInt(static_cast<uint64_t>(alphabet.size()))];
+  }
+  return text;
+}
+
 TEST(FuzzTest, GarbageTrajectoryCsvReturnsCleanError) {
+  // Every spelling family strtod/strtoll accept beyond from_chars: '+',
+  // blanks, hex ("0x1p3"), inf/nan, and overflow ("e999").
+  const std::vector<std::string> alphabet = {
+      "0", "1", "2", "3", "4", "5", "6", "7", "8",  "9",    ",", "\"",
+      "\n", "\r", ".", "x", "-", "e", "N", "a", "N", " ", "+", "p",
+      "i", "f", "e999"};
   Random rng(555);
   const std::string path = TempPrefix("fuzz_traj.csv");
-  const char alphabet[] = "0123456789,\"\n\r.x-eNaN ";
+  auto token = [&] {
+    return alphabet[rng.UniformInt(static_cast<uint64_t>(alphabet.size()))];
+  };
   for (int round = 0; round < 100; ++round) {
     std::string garbage;
     // Half the rounds keep the real header so the fuzz reaches the row
     // parser instead of dying at the header check.
     if (round % 2 == 0) garbage = "trajectory_id,traveler,x,y,time\n";
     size_t len = rng.UniformInt(static_cast<uint64_t>(400));
-    for (size_t i = 0; i < len; ++i) {
-      garbage += alphabet[rng.UniformInt(
-          static_cast<uint64_t>(sizeof(alphabet) - 1))];
-    }
+    for (size_t i = 0; i < len; ++i) garbage += token();
     ASSERT_TRUE(WriteFileToPath(path, garbage).ok());
-    auto parsed = ReadTrajectoriesCsv(path);
-    if (parsed.ok()) continue;  // rare: fuzz happened to be well-formed
-    EXPECT_NE(parsed.status().code(), StatusCode::kOk);
-    EXPECT_FALSE(parsed.status().message().empty());
+    auto streamed = ReadTrajectoriesCsv(path);
+    auto reference = testing::reference::ReadTrajectoriesCsv(path);
+    ExpectSameOutcome(streamed, reference, garbage);
+    if (streamed.ok() && reference.ok()) ExpectSameCorpus(*streamed, *reference);
   }
+  // Well-shaped rows of fuzzed numbers, so most rounds get past the row
+  // grammar and the numeric parsers decide.
+  int accepted = 0;
+  for (int round = 0; round < 200; ++round) {
+    std::string text = "trajectory_id,traveler,x,y,time\n";
+    const int rows = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(8)));
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < 5; ++c) {
+        if (c > 0) text += ',';
+        if (rng.Bernoulli(0.7)) {
+          text += std::to_string(rng.UniformInt(static_cast<uint64_t>(4)));
+        }
+        const int pieces = static_cast<int>(rng.UniformInt(uint64_t{3}));
+        for (int k = 0; k < pieces; ++k) {
+          const std::string t = token();
+          if (t != "," && t != "\n" && t != "\"") text += t;
+        }
+      }
+      text += '\n';
+    }
+    ASSERT_TRUE(WriteFileToPath(path, text).ok());
+    auto streamed = ReadTrajectoriesCsv(path);
+    auto reference = testing::reference::ReadTrajectoriesCsv(path);
+    ExpectSameOutcome(streamed, reference, text);
+    if (streamed.ok() && reference.ok()) {
+      ++accepted;
+      ExpectSameCorpus(*streamed, *reference);
+    }
+  }
+  EXPECT_GT(accepted, 10);  // the comparison is not vacuous
+}
+
+TEST(FuzzTest, PoiCsvMatchesTheReferenceReader) {
+  const std::vector<std::string> names = {
+      "Plain Park", "Comma, Market", "Quote \" Tower", "Multi\nLine Mall",
+      "CR\rRoad",   "\"\"",          "",               ",\n,"};
+  const std::string mutations = "0123456789,\"\n\r.x+-e ";
+  Random rng(556);
+  const std::string path = TempPrefix("fuzz_pois.csv");
+  int accepted = 0;
+  for (int round = 0; round < 200; ++round) {
+    std::string text = FormatCsvRow({"x", "y", "name"});
+    const int rows = 1 + static_cast<int>(rng.UniformInt(uint64_t{6}));
+    for (int r = 0; r < rows; ++r) {
+      text += FormatCsvRow(
+          {StrFormat("%.3f", rng.Uniform(-1e4, 1e4)),
+           StrFormat("%.3f", rng.Uniform(-1e4, 1e4)),
+           names[rng.UniformInt(static_cast<uint64_t>(names.size()))]});
+    }
+    text = Mutate(std::move(text), static_cast<int>(round % 4), mutations,
+                  &rng);
+    ASSERT_TRUE(WriteFileToPath(path, text).ok());
+    auto streamed = ReadPoisCsv(path);
+    auto reference = testing::reference::ReadPoisCsv(path);
+    ExpectSameOutcome(streamed, reference, text);
+    if (!streamed.ok() || !reference.ok()) continue;
+    ++accepted;
+    ASSERT_EQ(streamed->size(), reference->size());
+    for (size_t i = 0; i < streamed->size(); ++i) {
+      EXPECT_TRUE(SameBits((*streamed)[i].pos.x, (*reference)[i].pos.x));
+      EXPECT_TRUE(SameBits((*streamed)[i].pos.y, (*reference)[i].pos.y));
+      EXPECT_EQ((*streamed)[i].name, (*reference)[i].name);
+    }
+  }
+  EXPECT_GT(accepted, 50);
+}
+
+TEST(FuzzTest, RoadNetworkCsvMatchesTheReferenceReader) {
+  MapGeneratorOptions options;
+  options.blocks_x = 4;
+  options.blocks_y = 4;
+  options.seed = 17;
+  GeneratedMap city = MapGenerator(options).Generate();
+  const std::vector<std::string> names = {"Main, Street", "\"Quoted\" Ave",
+                                          "Two\nLines", "CR\rLane", ""};
+  for (size_t e = 0; e < city.network.NumEdges(); ++e) {
+    city.network.mutable_edge(static_cast<EdgeId>(e)).name =
+        names[e % names.size()];
+  }
+  const std::string clean = TempPrefix("fuzz_net_clean");
+  ASSERT_TRUE(WriteRoadNetworkCsv(clean, city.network).ok());
+  auto nodes_text = ReadFileToString(clean + "_nodes.csv");
+  auto edges_text = ReadFileToString(clean + "_edges.csv");
+  ASSERT_TRUE(nodes_text.ok() && edges_text.ok());
+
+  const std::string mutations = "0123456789,\"\n\r.x+-e ";
+  const std::string prefix = TempPrefix("fuzz_net");
+  Random rng(557);
+  int accepted = 0;
+  for (int round = 0; round < 60; ++round) {
+    // Mutate one file per round; zero mutations keeps both files clean.
+    const int count = static_cast<int>(round % 3);
+    const bool edges = round % 2 == 0;
+    const std::string nodes =
+        edges ? *nodes_text : Mutate(*nodes_text, count, mutations, &rng);
+    const std::string edge_rows =
+        edges ? Mutate(*edges_text, count, mutations, &rng) : *edges_text;
+    ASSERT_TRUE(WriteFileToPath(prefix + "_nodes.csv", nodes).ok());
+    ASSERT_TRUE(WriteFileToPath(prefix + "_edges.csv", edge_rows).ok());
+    auto streamed = ReadRoadNetworkCsv(prefix);
+    auto reference = testing::reference::ReadRoadNetworkCsv(prefix);
+    ExpectSameOutcome(streamed, reference, edges ? edge_rows : nodes);
+    if (!streamed.ok() || !reference.ok()) continue;
+    ++accepted;
+    ASSERT_EQ(streamed->NumNodes(), reference->NumNodes());
+    ASSERT_EQ(streamed->NumEdges(), reference->NumEdges());
+    for (size_t n = 0; n < streamed->NumNodes(); ++n) {
+      EXPECT_TRUE(SameBits(streamed->node(n).pos.x, reference->node(n).pos.x));
+      EXPECT_TRUE(SameBits(streamed->node(n).pos.y, reference->node(n).pos.y));
+    }
+    for (size_t e = 0; e < streamed->NumEdges(); ++e) {
+      const RoadEdge& a = streamed->edge(e);
+      const RoadEdge& b = reference->edge(e);
+      EXPECT_EQ(a.from, b.from);
+      EXPECT_EQ(a.to, b.to);
+      EXPECT_EQ(a.grade, b.grade);
+      EXPECT_EQ(a.direction, b.direction);
+      EXPECT_EQ(a.name, b.name);
+      EXPECT_TRUE(SameBits(a.width_m, b.width_m));
+      EXPECT_TRUE(SameBits(a.cost_bias, b.cost_bias));
+    }
+  }
+  EXPECT_GT(accepted, 20);
+}
+
+TEST(FuzzTest, GeneratedCorpusReadsBitIdenticalToTheReference) {
+  const TestWorld& world = GetTestWorld();
+  std::vector<RawTrajectory> raws;
+  for (const GeneratedTrip& trip : world.history) raws.push_back(trip.raw);
+  const std::string path = TempPrefix("world_corpus.csv");
+  ASSERT_TRUE(WriteTrajectoriesCsv(path, raws).ok());
+  auto streamed = ReadTrajectoriesCsv(path);
+  auto reference = testing::reference::ReadTrajectoriesCsv(path);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(streamed->size(), raws.size());
+  ExpectSameCorpus(*streamed, *reference);
 }
 
 // --------------------------------------------------------------------------
