@@ -55,7 +55,6 @@
 #include "geo/bounding_box.h"
 #include "index/trajectory_index.h"
 #include "io/container.h"
-#include "io/trajectory_io.h"
 #include "net/loadgen.h"
 #include "net/ndjson_service.h"
 #include "net/server.h"
@@ -102,10 +101,9 @@ long CurrentRssKb() {
   return kb;
 }
 
-/// Removes a staged serving directory (model.stm + trajectories.csv).
+/// Removes a staged serving directory (its model.stm).
 void RemoveStagedModel(const std::string& dir) {
   RemoveFileIfExists(dir + "/model.stm");
-  RemoveFileIfExists(dir + "/trajectories.csv");
   ::rmdir(dir.c_str());
 }
 
@@ -613,14 +611,13 @@ int Run(const char* out_path) {
     capacity_qps = unit_rate * kServeThreads;
 
     // Served exactly as `stmaker_cli serve --model` serves: the model
-    // container and the corpus staged in a directory, loaded by a
-    // ModelManager, every request pinned to its snapshot.
+    // container (which carries the serving corpus) staged in a directory,
+    // loaded by a ModelManager, every request pinned to its snapshot.
     char slo_template[] = "/tmp/stmaker_bench_slo_XXXXXX";
     char* slo_dir_c = mkdtemp(slo_template);
     STMAKER_CHECK(slo_dir_c != nullptr);
     const std::string slo_dir(slo_dir_c);
     STMAKER_CHECK(world.maker->SaveModelContainer(slo_dir + "/model.stm").ok());
-    STMAKER_CHECK(WriteTrajectoriesCsv(slo_dir + "/trajectories.csv", raws).ok());
     ModelManagerOptions slo_mopts;
     slo_mopts.data_dir = slo_dir;
     slo_mopts.model_prefix = slo_dir + "/model.stm";
@@ -698,13 +695,13 @@ int Run(const char* out_path) {
 
   // --- Model lifecycle: cold start, reload latency, and post-swap
   // first-request cost, on a dedicated small world (300 trips) staged the
-  // way `stmaker_cli gen`+`train` lay it out: trajectories.csv plus the
-  // model container. Every Reload() re-reads the serving corpus from
-  // trajectories.csv, and at the 3,000-trip bench world that read is a
-  // large share of a reload (perfbench's `reload.corpus_ms` and
-  // `reload_ms` measure it there), so these rows understate a full-size
-  // reload. ModelReload_container is the wall time of a full Reload() —
-  // map, section CRCs, model restore, corpus read, commit;
+  // way `stmaker_cli train` lays it out: one model container, which
+  // carries the serving corpus and the frozen trajectory index, so a
+  // Reload() reads nothing else. The 3,000-trip perfbench world measures
+  // the full-size reload (`reload_ms`, and the server's
+  // `model.reload.*` histograms). ModelReload_container is the wall time
+  // of a full Reload() — map, section CRCs, corpus copy, model restore,
+  // index adoption, commit;
   // PostSwapFirstRequest is the latency of the first summarize answered
   // by the freshly swapped snapshot (its caches are stone cold — that cost
   // is the price of the zero-downtime design and deserves its own row).
@@ -725,24 +722,16 @@ int Run(const char* out_path) {
     small.num_travelers = 30;
     small.num_days = 7;
     BenchWorld lifecycle_world = BuildBenchWorld(small);
-    std::vector<RawTrajectory> small_raws;
-    small_raws.reserve(lifecycle_world.history.size());
-    for (const GeneratedTrip& t : lifecycle_world.history) {
-      small_raws.push_back(t.raw);
-    }
-    STMAKER_CHECK(
-        WriteTrajectoriesCsv(dir + "/trajectories.csv", small_raws).ok());
     STMAKER_CHECK(lifecycle_world.maker->BuildRoadHierarchy().ok());
     const std::string container_path = dir + "/model.stm";
     STMAKER_CHECK(
         lifecycle_world.maker->SaveModelContainer(container_path).ok());
 
     // Cold start of the model (docs/FORMAT.md): time from
-    // nothing-in-memory to a maker ready to answer, measured with direct
-    // loads rather than the ModelManager so the trajectories.csv read does
-    // not mask it. The model itself is mmap + header/CRC walk with no
-    // per-row text parse; the corpus is the one text parse a server's cold
-    // start adds. RSS is sampled on the first rep only (see CurrentRssKb).
+    // nothing-in-memory to a maker ready to answer — mmap, header/CRC
+    // walk, corpus copy and model restore, with no text parse anywhere —
+    // measured with direct loads rather than the ModelManager. RSS is
+    // sampled on the first rep only (see CurrentRssKb).
     const int kColdReps = 5;
     std::vector<double> cold_container_ms;
     double cold_container_total = 0;

@@ -44,7 +44,9 @@ ModelManager::ModelManager(const ModelManagerOptions& options)
       h_reload_model_ms_(
           MetricsRegistry::Global().histogram("model.reload.model_ms")),
       h_reload_commit_ms_(
-          MetricsRegistry::Global().histogram("model.reload.commit_ms")) {}
+          MetricsRegistry::Global().histogram("model.reload.commit_ms")),
+      h_reload_release_ms_(
+          MetricsRegistry::Global().histogram("model.reload.release_ms")) {}
 
 ModelManager::~ModelManager() {
   shutting_down_.store(true, std::memory_order_release);
@@ -80,16 +82,18 @@ std::shared_ptr<const ModelSnapshot> ModelManager::Current() const {
   return current_;
 }
 
-void ModelManager::Publish(std::shared_ptr<const ModelSnapshot> snapshot) {
+std::shared_ptr<const ModelSnapshot> ModelManager::Publish(
+    std::shared_ptr<const ModelSnapshot> snapshot) {
   g_version_.Set(static_cast<int64_t>(snapshot->version));
   g_loaded_unix_ms_.Set(snapshot->loaded_unix_ms);
   {
     std::lock_guard<std::mutex> lock(current_mu_);
     current_.swap(snapshot);
   }
-  // `snapshot` now holds the displaced one. It dies here, outside
-  // current_mu_ so that freeing it never blocks Current(), or when the
-  // last request pinning it finishes.
+  // `snapshot` now holds the displaced one. The caller drops it outside
+  // current_mu_, so that freeing it never blocks Current(); it dies then,
+  // or when the last request pinning it finishes.
+  return snapshot;
 }
 
 Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
@@ -135,22 +139,25 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
         LandmarkIndex::Build(snapshot->network, pois));
   }
   stages->world_ms = MsSince(start);
-  const auto corpus_start = std::chrono::steady_clock::now();
-  STMAKER_ASSIGN_OR_RETURN(
-      snapshot->trajectories,
-      ReadTrajectoriesCsv(options_.data_dir + "/trajectories.csv"));
-  stages->corpus_ms = MsSince(corpus_start);
   const auto model_start = std::chrono::steady_clock::now();
 
   snapshot->maker = std::make_unique<STMaker>(
       &snapshot->network, snapshot->landmarks.get(),
       FeatureRegistry::BuiltIn(), options_.maker);
   if (snapshot->container != nullptr) {
-    STMAKER_RETURN_IF_ERROR(
-        snapshot->maker->LoadModelContainer(*snapshot->container));
+    // The corpus comes out of the container with the model; its sections
+    // are timed inside the load.
+    STMAKER_RETURN_IF_ERROR(snapshot->maker->LoadModelContainer(
+        *snapshot->container, &stages->corpus_ms));
   } else {
-    STMAKER_RETURN_IF_ERROR(snapshot->maker->Train(snapshot->trajectories));
+    const auto corpus_start = std::chrono::steady_clock::now();
+    STMAKER_ASSIGN_OR_RETURN(
+        std::vector<RawTrajectory> corpus,
+        ReadTrajectoriesCsv(options_.data_dir + "/trajectories.csv"));
+    stages->corpus_ms = MsSince(corpus_start);
+    STMAKER_RETURN_IF_ERROR(snapshot->maker->Train(corpus));
   }
+  snapshot->trajectories = snapshot->maker->corpus();
 
   if (options_.use_hierarchy && !snapshot->maker->has_road_hierarchy()) {
     if (!for_reload && options_.build_hierarchy_if_missing) {
@@ -168,7 +175,7 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
     snapshot->maker->DropRoadHierarchy();
   }
 
-  stages->model_ms = MsSince(model_start);
+  stages->model_ms = MsSince(model_start) - stages->corpus_ms;
   snapshot->loaded_unix_ms = NowUnixMs();
   snapshot->load_ms = MsSince(start);
   return std::shared_ptr<const ModelSnapshot>(std::move(snapshot));
@@ -212,8 +219,11 @@ Status ModelManager::ReloadLocked(const std::string& model_prefix,
                  stages.model_ms);
   }
   const auto commit_start = std::chrono::steady_clock::now();
-  Publish(*std::move(candidate));
+  std::shared_ptr<const ModelSnapshot> replaced = Publish(*std::move(candidate));
   if (for_reload) h_reload_commit_ms_.Observe(MsSince(commit_start));
+  const auto release_start = std::chrono::steady_clock::now();
+  replaced.reset();
+  if (for_reload) h_reload_release_ms_.Observe(MsSince(release_start));
   return Status::OK();
 }
 

@@ -6,9 +6,13 @@
 /// atomic swap, with rollback on any load failure.
 ///
 /// A ModelSnapshot is an immutable, version-stamped bundle of everything a
-/// request needs: the road network (CSR), the landmark index, the serving
-/// corpus, and a trained STMaker (which carries the CH hierarchy, feature
-/// map, and calibration/popular-route caches). Snapshots are built off to
+/// request needs: the road network (CSR), the landmark index, and a
+/// trained STMaker (which carries the serving corpus, the CH hierarchy,
+/// the trajectory index, the feature map, and the calibration/popular-route
+/// caches). With a model container a load is open → validate → adopt: the
+/// world, the corpus, the model and the frozen index all come out of the
+/// one mapped file, and releasing a snapshot is little more than an
+/// munmap. Snapshots are built off to
 /// the side on a background thread — parse-then-commit, with the model
 /// container's per-section CRC32 validation — and published with one
 /// shared_ptr swap. Every in-flight request pins the snapshot it started
@@ -40,12 +44,16 @@
 /// so that `stats` alone shows where a slow reload went:
 ///   - model.reload.world_ms: container open, network and landmarks (or,
 ///     without a model, the network/POI CSVs and the landmark build);
-///   - model.reload.corpus_ms: reading the serving corpus,
-///     trajectories.csv, which every load re-reads;
-///   - model.reload.model_ms: LoadModelContainer (or in-process training)
-///     plus the hierarchy policy;
-///   - model.reload.commit_ms: the publish swap, including the release of
-///     the old snapshot when no request still pins it.
+///   - model.reload.corpus_ms: restoring the serving corpus from the
+///     container's corpus sections (or, without a model, reading
+///     trajectories.csv);
+///   - model.reload.model_ms: the rest of LoadModelContainer — including
+///     validating and adopting the frozen trajectory index — (or
+///     in-process training) plus the hierarchy policy;
+///   - model.reload.commit_ms: the publish swap;
+///   - model.reload.release_ms: freeing the replaced snapshot when no
+///     request still pins it (otherwise the last such request frees it,
+///     and this observes ~0).
 /// world + corpus + model is model.reload_ms up to bookkeeping.
 
 #include <atomic>
@@ -55,6 +63,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -75,7 +84,8 @@ namespace stmaker {
 struct ModelSnapshot {
   /// Monotonically increasing per manager, starting at 1.
   uint64_t version = 0;
-  /// Dataset directory the world (network/POIs/corpus) was loaded from.
+  /// Dataset directory of the snapshot's options (the world and corpus
+  /// came from it only when there is no model container).
   std::string data_dir;
   /// Model container path; empty when the snapshot was trained in-process.
   std::string model_prefix;
@@ -94,18 +104,21 @@ struct ModelSnapshot {
   std::shared_ptr<MappedContainer> container;
   RoadNetwork network;
   std::unique_ptr<LandmarkIndex> landmarks;
-  /// The serving corpus backing the protocol's "trip" field.
-  std::vector<RawTrajectory> trajectories;
   std::unique_ptr<STMaker> maker;
+  /// The serving corpus backing the protocol's "trip" field: a view of
+  /// maker->corpus(), so a snapshot holds one copy by construction.
+  std::span<const RawTrajectory> trajectories;
 };
 
 /// Configuration for the manager's snapshot loads.
 struct ModelManagerOptions {
-  /// Dataset directory: trajectories.csv (the serving corpus), plus the
-  /// network CSVs and pois.csv when there is no model to load.
+  /// Dataset directory: read only when there is no model to load — the
+  /// network CSVs, pois.csv and trajectories.csv (the corpus trained
+  /// in-process and served). A model container carries its own world and
+  /// serving corpus.
   std::string data_dir;
   /// Model container path (`.stm`); empty trains in-process from the
-  /// corpus.
+  /// data_dir corpus.
   std::string model_prefix;
   /// Forwarded to every snapshot's STMaker.
   STMakerOptions maker;
@@ -199,7 +212,10 @@ class ModelManager {
   /// or roll back. Caller must hold reload_mu_.
   Status ReloadLocked(const std::string& model_prefix, bool for_reload);
 
-  void Publish(std::shared_ptr<const ModelSnapshot> snapshot);
+  /// Swaps `snapshot` in and returns the one it replaced, so the caller
+  /// decides (and times) where the old snapshot is released.
+  std::shared_ptr<const ModelSnapshot> Publish(
+      std::shared_ptr<const ModelSnapshot> snapshot);
   void ReloaderMain();
 
   ModelManagerOptions options_;
@@ -221,6 +237,7 @@ class ModelManager {
   Histogram& h_reload_corpus_ms_;
   Histogram& h_reload_model_ms_;
   Histogram& h_reload_commit_ms_;
+  Histogram& h_reload_release_ms_;
 
   std::atomic<bool> sighup_pending_{false};
   std::atomic<bool> shutting_down_{false};

@@ -28,9 +28,8 @@ std::vector<std::vector<double>> NormalizeSegmentFeatures(
   return out;
 }
 
-double SegmentSimilarity(const std::vector<double>& u,
-                         const std::vector<double>& v,
-                         const std::vector<double>& weights) {
+double SegmentSimilarity(std::span<const double> u, std::span<const double> v,
+                         std::span<const double> weights) {
   STMAKER_CHECK(u.size() == v.size());
   STMAKER_CHECK(u.size() == weights.size());
   double dot = 0;

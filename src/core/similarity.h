@@ -4,6 +4,7 @@
 /// \file
 /// Segment feature normalization and similarity scoring.
 
+#include <span>
 #include <vector>
 
 #include "core/feature_extractor.h"
@@ -20,10 +21,18 @@ std::vector<std::vector<double>> NormalizeSegmentFeatures(
 /// Weighted cosine similarity mapped to [0, 1] (Eq. 3):
 /// S = ½(cos_w(u, v) + 1). Conventions for degenerate inputs: two zero
 /// vectors are identical (S = 1); exactly one zero vector gives cos = 0
-/// (S = ½). Weights must be non-negative and |u| = |v| = |w|.
-double SegmentSimilarity(const std::vector<double>& u,
-                         const std::vector<double>& v,
-                         const std::vector<double>& weights);
+/// (S = ½). Weights must be non-negative and |u| = |v| = |w|. The span
+/// form scores vectors read in place (the trajectory index's mapped
+/// fingerprints); both forms compute bit-identical values.
+double SegmentSimilarity(std::span<const double> u, std::span<const double> v,
+                         std::span<const double> weights);
+inline double SegmentSimilarity(const std::vector<double>& u,
+                                const std::vector<double>& v,
+                                const std::vector<double>& weights) {
+  return SegmentSimilarity(std::span<const double>(u),
+                           std::span<const double>(v),
+                           std::span<const double>(weights));
+}
 
 }  // namespace stmaker
 

@@ -140,9 +140,8 @@ Result<IngestReport> STMaker::IngestCorpus(
   std::vector<IngestReport> reports(static_cast<size_t>(threads));
   // One descriptor slot per offered trajectory — quarantined trips keep an
   // empty slot so descriptor index always equals corpus position. The trip
-  // ids continue from any previously indexed corpus (TrainIncremental).
-  const uint32_t trip_base = static_cast<uint32_t>(
-      trip_index_ != nullptr ? trip_index_->descriptors().size() : 0);
+  // ids continue from the corpus already served (TrainIncremental).
+  const uint32_t trip_base = static_cast<uint32_t>(corpus_.size());
   std::vector<TripDescriptor> descriptors(history.size());
   std::vector<IngestedTrip> slots(history.size());
 
@@ -258,7 +257,8 @@ Result<IngestReport> STMaker::IngestCorpus(
   for (const HistoricalFeatureMap::EdgeRecord& e : batch.Edges()) {
     feature_map_->AddAccumulated(e.from, e.to, e.sums, e.count);
   }
-  RebuildTrajectoryIndex(std::move(descriptors));
+  corpus_.insert(corpus_.end(), history.begin(), history.end());
+  RebuildTrajectoryIndex(descriptors);
   num_trained_ += report.ingested;
   // One registry update per corpus from the summed report (not per worker),
   // so the counters are deterministic at every thread count.
@@ -276,23 +276,23 @@ Result<IngestReport> STMaker::IngestCorpus(
   return report;
 }
 
-void STMaker::RebuildTrajectoryIndex(std::vector<TripDescriptor> fresh) {
-  // After a failed build the previous descriptors are gone, so an
-  // incremental batch cannot be numbered against the existing corpus —
-  // stay on the scan path until the next full Train().
-  if (index_build_failed_) return;
-  std::vector<TripDescriptor> all;
+void STMaker::RebuildTrajectoryIndex(const std::vector<TripDescriptor>& fresh) {
+  // Without the previous descriptors an incremental batch cannot be
+  // indexed against the existing corpus — stay on the scan path until the
+  // next full Train().
+  const size_t previous = corpus_.size() - fresh.size();
+  if (trip_index_ == nullptr && previous > 0) return;
+  std::vector<TripDescriptorView> all;
+  all.reserve(corpus_.size());
   if (trip_index_ != nullptr) {
-    all = trip_index_->TakeDescriptors();
-    trip_index_.reset();
+    const TripDescriptorTable table = trip_index_->descriptors();
+    STMAKER_CHECK(table.size() == previous);
+    for (size_t i = 0; i < table.size(); ++i) all.push_back(table[i]);
   }
-  all.insert(all.end(), std::make_move_iterator(fresh.begin()),
-             std::make_move_iterator(fresh.end()));
-  for (size_t i = 0; i < all.size(); ++i) {
-    all[i].trip = static_cast<uint32_t>(i);
-  }
+  all.insert(all.end(), fresh.begin(), fresh.end());
   Result<TrajectoryIndex> built =
-      TrajectoryIndex::Build(options_.index, std::move(all));
+      TrajectoryIndex::Build(options_.index, registry_.size(), all);
+  trip_index_.reset();
   if (!built.ok()) {
     // Advisory, like the routing hierarchy: the model is intact, only the
     // accelerator is lost — queries degrade to the (identical-result)
@@ -304,7 +304,6 @@ void STMaker::RebuildTrajectoryIndex(std::vector<TripDescriptor> fresh) {
                  "warning: trajectory index unusable, similarity/region "
                  "queries fall back to corpus scan: %s\n",
                  built.status().ToString().c_str());
-    index_build_failed_ = true;
     return;
   }
   trip_index_ = std::make_unique<TrajectoryIndex>(std::move(built).value());
@@ -323,7 +322,7 @@ Result<IngestReport> STMaker::TrainWithReport(
   num_trained_ = 0;
   analyzer_.reset();
   trip_index_.reset();
-  index_build_failed_ = false;
+  corpus_.clear();
 
   Result<IngestReport> report = IngestCorpus(history, options_.num_threads);
   if (!report.ok()) {
@@ -335,6 +334,8 @@ Result<IngestReport> STMaker::TrainWithReport(
   if (num_trained_ < 2) {
     feature_map_.reset();
     visit_corpus_ = VisitCorpus();
+    trip_index_.reset();
+    corpus_.clear();
     return Status::FailedPrecondition(
         "training corpus yielded fewer than two calibrated trajectories (" +
         report->ToString() + ")");

@@ -152,7 +152,8 @@ class STMaker {
   FeatureRegistry& registry() { return registry_; }
   const FeatureRegistry& registry() const { return registry_; }
 
-  /// Builds the historical knowledge from a corpus of raw trajectories.
+  /// Builds the historical knowledge from a corpus of raw trajectories and
+  /// keeps a copy of the corpus as the serving corpus (corpus()).
   /// Defective trajectories are sanitized (options().sanitize) and, when
   /// still unusable, quarantined — counted and skipped, never fatal unless
   /// the quarantine fraction exceeds options().max_quarantine_fraction or
@@ -165,7 +166,8 @@ class STMaker {
   Result<IngestReport> TrainWithReport(
       const std::vector<RawTrajectory>& history);
 
-  /// Folds additional trajectories into an already-trained model: popular
+  /// Folds additional trajectories into an already-trained model: they are
+  /// appended to the serving corpus, popular
   /// routes and the historical feature map accumulate, and landmark
   /// significance is recomputed over the combined visit corpus. Requires a
   /// prior successful Train() or LoadModelContainer() (the container
@@ -180,6 +182,13 @@ class STMaker {
 
   bool trained() const { return analyzer_ != nullptr; }
   size_t num_trained() const { return num_trained_; }
+
+  /// The serving corpus: every trajectory the model was trained on, in
+  /// training order, exactly as offered (quarantined trips included, so
+  /// position t is trip t of the trajectory index). Train and
+  /// TrainIncremental append to it, SaveModelContainer seals it into the
+  /// container and LoadModelContainer restores it.
+  std::span<const RawTrajectory> corpus() const { return corpus_; }
 
   /// Summarizes one raw trajectory (requires Train() first). The input is
   /// sanitized with options().sanitize first (kRepair mends defective
@@ -232,7 +241,8 @@ class STMaker {
   /// Persists the trained model *and its serving world* — road-network
   /// CSR + geometry, CH hierarchy, landmarks with significances,
   /// popular-route transitions, the historical feature map, the visit
-  /// corpus, trajectory-index descriptors, and calibration stats — as one
+  /// corpus, the serving corpus, the frozen trajectory index, and
+  /// calibration stats — as one
   /// binary container file (docs/FORMAT.md) that the server mmaps and
   /// serves zero-copy — the one model format (`stmaker_cli train` writes
   /// it). Requires Train() first.
@@ -245,15 +255,19 @@ class STMaker {
   /// maker must have been constructed over the world restored from the
   /// *same* container (LoadNetworkFromContainer /
   /// LoadLandmarksFromContainer). Feature-set mismatch or damage to a
-  /// required section fails (leaving the maker
-  /// untrained); a damaged hierarchy or trajectory-index section only
-  /// degrades — warning + metric, Dijkstra/scan fallback. All model state
-  /// this method restores is copied out of the mapping; only the road
-  /// network itself stays zero-copy.
+  /// required section (the serving corpus included) fails, leaving the
+  /// maker untrained; a damaged hierarchy or trajectory-index section only
+  /// degrades — warning + metric, Dijkstra/scan fallback. The trajectory
+  /// index is served in place from the mapping, which it pins; the corpus
+  /// is copied out (one memcpy per trip) and the rest of the model state
+  /// is replayed from its records.
   ///
   /// \param container An open container (see MappedContainer::Open).
+  /// \param corpus_ms When non-null, receives the wall time spent
+  ///   restoring the corpus sections (reload attribution).
   /// \return OK, or the validation error.
-  Status LoadModelContainer(const MappedContainer& container);
+  Status LoadModelContainer(const MappedContainer& container,
+                            double* corpus_ms = nullptr);
 
   /// Calibration entry point, exposed for tests and tooling.
   Result<CalibratedTrajectory> Calibrate(
@@ -318,7 +332,8 @@ class STMaker {
   /// index when one is installed, otherwise by a full corpus scan through
   /// the same pipeline — the results are identical either way (the oracle
   /// suite pins this). `corpus` must be the corpus the model was trained
-  /// on, in training order.
+  /// on, in training order (corpus()); an index whose trip count differs
+  /// from it is not used.
   Result<std::vector<TrajectoryIndex::Match>> SimilarTrips(
       std::span<const RawTrajectory> corpus, size_t trip, size_t k,
       const RequestContext* ctx = nullptr) const;
@@ -385,11 +400,14 @@ class STMaker {
   void RecomputeSignificance();
 
   /// Rebuilds the trajectory index over the previous descriptors (if any)
-  /// plus `fresh` — called at the end of every successful ingest. A build
-  /// failure (the "index/build" failpoint) downgrades to the scan path
-  /// with a warning and the `index.build_failures` counter; it never fails
+  /// plus `fresh`, the descriptors of the corpus' last fresh.size() trips
+  /// — called at the end of every successful ingest. Without an index over
+  /// the earlier trips (a failed build, a dropped or unusable index) it
+  /// stays on the scan path until the next full Train(). A build failure
+  /// (the "index/build" failpoint) downgrades to the scan path with a
+  /// warning and the `index.build_failures` counter; it never fails
   /// training.
-  void RebuildTrajectoryIndex(std::vector<TripDescriptor> fresh);
+  void RebuildTrajectoryIndex(const std::vector<TripDescriptor>& fresh);
 
   /// Exact region-membership test shared by the indexed refine and the
   /// scan fallback: true when the sanitized form of `raw` has a fix inside
@@ -413,14 +431,12 @@ class STMaker {
   /// the model container, accumulated by TrainIncremental.
   VisitCorpus visit_corpus_;
   size_t num_trained_ = 0;
+  /// The serving corpus (see corpus()).
+  std::vector<RawTrajectory> corpus_;
   /// The spatio-temporal trajectory index over the ingested corpus (null =
   /// scan fallback). Built by Train/TrainIncremental, restored by
   /// LoadModelContainer, dropped with the rest of the model on retrain.
   std::unique_ptr<TrajectoryIndex> trip_index_;
-  /// Set when an "index/build" injection (or any build error) discarded
-  /// the descriptors: incremental ingests then stay on the scan path
-  /// instead of indexing a partial corpus.
-  bool index_build_failed_ = false;
   /// Length-metric road routing facade. The hierarchy (when present) is
   /// attached to the router, which transparently falls back to Dijkstra
   /// for custom cost functions.

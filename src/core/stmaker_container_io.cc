@@ -5,11 +5,13 @@
 // files of stmaker_model_io.cc are a one-way dump). Load policy:
 //
 //   - required sections (meta, feature names, transitions, feature map,
-//     stats, visits, and the whole world) fail the load, leaving the maker
-//     untrained — a torn snapshot is never committed;
+//     stats, visits, the serving corpus, and the whole world) fail the
+//     load, leaving the maker untrained — a torn snapshot is never
+//     committed;
 //   - the routing hierarchy and the trajectory index are advisory: damage
 //     costs the accelerator (warning + counter + Dijkstra/scan fallback),
-//     never the model.
+//     never the model. The index is served in place from the mapping
+//     after TrajectoryIndex::Adopt validates it; nothing is rebuilt.
 //
 // Determinism: sections are written in SectionType order, records in the
 // accumulators' deterministic iteration order (the same order the CSV
@@ -21,6 +23,7 @@
 // cannot.
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -54,6 +57,24 @@ static_assert(offsetof(ContractionHierarchy::Arc, weight) ==
               offsetof(ChArcRecord, weight));
 static_assert(offsetof(ContractionHierarchy::Arc, right) ==
               offsetof(ChArcRecord, right));
+static_assert(sizeof(RawSample) == sizeof(CorpusSampleRecord));
+static_assert(sizeof(Vec2) == 16 && offsetof(Vec2, y) == 8);
+static_assert(offsetof(RawSample, pos) == offsetof(CorpusSampleRecord, x));
+static_assert(offsetof(RawSample, time) ==
+              offsetof(CorpusSampleRecord, time));
+static_assert(sizeof(FrozenTrip) == sizeof(TripDescRecord));
+static_assert(offsetof(FrozenTrip, spatial) ==
+              offsetof(TripDescRecord, spatial));
+static_assert(offsetof(FrozenTrip, scored) == offsetof(TripDescRecord, scored));
+static_assert(offsetof(FrozenTrip, min_x) == offsetof(TripDescRecord, min_x));
+static_assert(offsetof(FrozenTrip, t_end) == offsetof(TripDescRecord, t_end));
+static_assert(offsetof(FrozenTrip, cells_begin) ==
+              offsetof(TripDescRecord, cells_begin));
+static_assert(offsetof(FrozenTrip, labels_count) ==
+              offsetof(TripDescRecord, labels_count));
+static_assert(sizeof(CellBucket) == sizeof(TripCellRecord));
+static_assert(offsetof(CellBucket, bucket) == offsetof(TripCellRecord, bucket));
+static_assert(sizeof(LandmarkId) == sizeof(int64_t));
 
 /// Record-layout version written into every section entry.
 constexpr uint32_t kSectionVersion = 1;
@@ -62,6 +83,14 @@ template <typename T>
 void AppendPod(std::string* out, const T& value) {
   static_assert(std::is_trivially_copyable_v<T>);
   out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+/// The bytes of an in-memory array, as a section payload.
+template <typename T>
+std::string BytesOf(std::span<const T> values) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return std::string(reinterpret_cast<const char*>(values.data()),
+                     values.size_bytes());
 }
 
 template <typename T>
@@ -95,6 +124,17 @@ const char* SectionName(SectionType type) {
     case SectionType::kChRank: return "ch-rank";
     case SectionType::kChArcs: return "ch-arcs";
     case SectionType::kStats: return "stats";
+    case SectionType::kCorpusTrips: return "corpus-trips";
+    case SectionType::kCorpusSamples: return "corpus-samples";
+    case SectionType::kCellKeys: return "cell-keys";
+    case SectionType::kCellOffsets: return "cell-offsets";
+    case SectionType::kCellIds: return "cell-ids";
+    case SectionType::kCellBucketKeys: return "cell-bucket-keys";
+    case SectionType::kCellBucketOffsets: return "cell-bucket-offsets";
+    case SectionType::kCellBucketIds: return "cell-bucket-ids";
+    case SectionType::kLabelKeys: return "label-keys";
+    case SectionType::kLabelOffsets: return "label-offsets";
+    case SectionType::kLabelIds: return "label-ids";
   }
   return "unknown";
 }
@@ -127,6 +167,75 @@ Result<const SectionEntry*> RequiredSection(const MappedContainer& c,
 Result<const SectionEntry*> AdvisorySection(const MappedContainer& c,
                                             SectionType type) {
   return RequiredSection(c, type);
+}
+
+/// An advisory section served in place as an array of `T`, whose layout
+/// is the record `Record` (static_asserted above).
+template <typename T, typename Record = T>
+Result<std::span<const T>> MappedArray(const MappedContainer& c,
+                                       SectionType type) {
+  static_assert(sizeof(T) == sizeof(Record));
+  STMAKER_ASSIGN_OR_RETURN(const SectionEntry* entry,
+                           AdvisorySection(c, type));
+  STMAKER_ASSIGN_OR_RETURN(auto records, c.Records<Record>(*entry));
+  return std::span<const T>(
+      reinterpret_cast<const T*>(c.Blob(*entry).data()), records.size());
+}
+
+/// A posting family's three sections, served in place.
+template <typename Key, typename Record = Key>
+Result<PostingLists<Key>> MappedPostings(const MappedContainer& c,
+                                         SectionType keys,
+                                         SectionType offsets,
+                                         SectionType ids) {
+  PostingLists<Key> p;
+  STMAKER_ASSIGN_OR_RETURN(p.keys, (MappedArray<Key, Record>(c, keys)));
+  STMAKER_ASSIGN_OR_RETURN(p.offsets, MappedArray<uint32_t>(c, offsets));
+  STMAKER_ASSIGN_OR_RETURN(p.ids, MappedArray<uint32_t>(c, ids));
+  return p;
+}
+
+/// Restores the serving corpus (required): each trip's fixes are one
+/// memcpy out of the samples section, after its slice is checked to
+/// continue where the previous trip's ended and to stay inside the
+/// section.
+Result<std::vector<RawTrajectory>> LoadCorpus(const MappedContainer& c) {
+  STMAKER_ASSIGN_OR_RETURN(const SectionEntry* trips_entry,
+                           RequiredSection(c, SectionType::kCorpusTrips));
+  STMAKER_ASSIGN_OR_RETURN(const SectionEntry* samples_entry,
+                           RequiredSection(c, SectionType::kCorpusSamples));
+  STMAKER_ASSIGN_OR_RETURN(auto trips,
+                           c.Records<CorpusTripRecord>(*trips_entry));
+  STMAKER_ASSIGN_OR_RETURN(auto samples,
+                           c.Records<CorpusSampleRecord>(*samples_entry));
+  const char* bytes = c.Blob(*samples_entry).data();
+  std::vector<RawTrajectory> corpus(trips.size());
+  uint64_t at = 0;
+  for (size_t i = 0; i < trips.size(); ++i) {
+    const CorpusTripRecord& rec = trips[i];
+    if (rec.samples_begin != at || rec.samples_count > samples.size() - at) {
+      return Status::InvalidArgument(StrFormat(
+          "%s: corpus trip %zu sample slice [%llu, +%llu) does not continue "
+          "the previous trip inside the %zu-sample section",
+          c.path().c_str(), i,
+          static_cast<unsigned long long>(rec.samples_begin),
+          static_cast<unsigned long long>(rec.samples_count),
+          samples.size()));
+    }
+    RawTrajectory& trip = corpus[i];
+    trip.traveler = rec.traveler;
+    trip.samples.resize(static_cast<size_t>(rec.samples_count));
+    std::memcpy(trip.samples.data(), bytes + at * sizeof(CorpusSampleRecord),
+                trip.samples.size() * sizeof(RawSample));
+    at += rec.samples_count;
+  }
+  if (at != samples.size()) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: corpus trips cover %llu of the %zu samples in their section",
+        c.path().c_str(), static_cast<unsigned long long>(at),
+        samples.size()));
+  }
+  return corpus;
 }
 
 Status CountMismatch(const MappedContainer& c, SectionType type,
@@ -257,13 +366,9 @@ Status STMaker::SaveModelContainer(const std::string& path) const {
     writer.AddSection(SectionType::kEdgeNames, kSectionVersion, 1,
                       std::move(names));
   }
-  {  // kCsrOffsets (raw uint32 array — already fixed-width).
-    std::span<const uint32_t> offsets = network_->csr_offsets();
-    std::string payload(reinterpret_cast<const char*>(offsets.data()),
-                        offsets.size() * sizeof(uint32_t));
-    writer.AddSection(SectionType::kCsrOffsets, kSectionVersion,
-                      sizeof(uint32_t), std::move(payload));
-  }
+  // kCsrOffsets (raw uint32 array — already fixed-width).
+  writer.AddSection(SectionType::kCsrOffsets, kSectionVersion,
+                    sizeof(uint32_t), BytesOf(network_->csr_offsets()));
   {  // kCsrEntries: Adjacency with its padding pinned to zero.
     std::string payload;
     std::span<const Adjacency> entries = network_->csr_entries();
@@ -366,61 +471,22 @@ Status STMaker::SaveModelContainer(const std::string& path) const {
                       sizeof(VisitRecord), std::move(payload));
   }
   if (trip_index_ != nullptr) {
-    // kTripDescriptors + kTripCells + kTripLabels + kTripFingerprints.
-    // Variable-length members are concatenated in trip order and addressed
-    // by (begin, count) pairs; unscored trips hold an all-zero fingerprint
-    // row so the matrix stays rectangular.
-    std::string descs, cells, labels, fps;
-    uint64_t cells_at = 0, labels_at = 0;
-    for (const TripDescriptor& d : trip_index_->descriptors()) {
-      TripDescRecord rec{};
-      rec.trip = d.trip;
-      rec.spatial = d.spatial ? 1 : 0;
-      rec.scored = d.scored ? 1 : 0;
-      rec.pad = 0;
-      rec.min_x = d.bbox.min.x;
-      rec.min_y = d.bbox.min.y;
-      rec.max_x = d.bbox.max.x;
-      rec.max_y = d.bbox.max.y;
-      rec.t_begin = d.t_begin;
-      rec.t_end = d.t_end;
-      rec.cells_begin = cells_at;
-      rec.cells_count = d.cell_buckets.size();
-      rec.labels_begin = labels_at;
-      rec.labels_count = d.labels.size();
-      AppendPod(&descs, rec);
-      for (const auto& [cell, bucket] : d.cell_buckets) {
-        TripCellRecord cr{};
-        cr.cell = cell;
-        cr.bucket = bucket;
-        AppendPod(&cells, cr);
-      }
-      cells_at += d.cell_buckets.size();
-      for (LandmarkId label : d.labels) {
-        AppendPod(&labels, static_cast<int64_t>(label));
-      }
-      labels_at += d.labels.size();
-      for (size_t f = 0; f < F; ++f) {
-        AppendPod(&fps, d.scored ? d.fingerprint[f] : 0.0);
-      }
-    }
+    // kTripDescriptors + kTripCells + kTripLabels + kTripFingerprints: the
+    // frozen index's descriptor arrays, verbatim (their layouts are the
+    // records'). Unscored trips hold an all-zero fingerprint row.
+    const FrozenIndexArrays& a = trip_index_->arrays();
     writer.AddSection(SectionType::kTripDescriptors, kSectionVersion,
-                      sizeof(TripDescRecord), std::move(descs));
+                      sizeof(TripDescRecord), BytesOf(a.trips));
     writer.AddSection(SectionType::kTripCells, kSectionVersion,
-                      sizeof(TripCellRecord), std::move(cells));
+                      sizeof(TripCellRecord), BytesOf(a.cells));
     writer.AddSection(SectionType::kTripLabels, kSectionVersion,
-                      sizeof(int64_t), std::move(labels));
+                      sizeof(int64_t), BytesOf(a.labels));
     writer.AddSection(SectionType::kTripFingerprints, kSectionVersion,
-                      sizeof(double), std::move(fps));
+                      sizeof(double), BytesOf(a.fingerprints));
   }
   if (road_hierarchy_ != nullptr) {
-    {  // kChRank.
-      std::span<const uint32_t> rank = road_hierarchy_->ranks();
-      std::string payload(reinterpret_cast<const char*>(rank.data()),
-                          rank.size() * sizeof(uint32_t));
-      writer.AddSection(SectionType::kChRank, kSectionVersion,
-                        sizeof(uint32_t), std::move(payload));
-    }
+    writer.AddSection(SectionType::kChRank, kSectionVersion,
+                      sizeof(uint32_t), BytesOf(road_hierarchy_->ranks()));
     {  // kChArcs (Arc has no padding; copy field-by-field anyway so the
        // bytes stay pinned if that ever changes).
       std::string payload;
@@ -455,6 +521,52 @@ Status STMaker::SaveModelContainer(const std::string& path) const {
     for (double s : sums_total) AppendPod(&payload, s);
     writer.AddSection(SectionType::kStats, kSectionVersion, sizeof(double),
                       std::move(payload));
+  }
+  {  // kCorpusTrips + kCorpusSamples: the serving corpus in corpus order,
+     // each trip's fixes one contiguous slice of the samples section.
+    std::string trips;
+    std::string samples;
+    trips.reserve(corpus_.size() * sizeof(CorpusTripRecord));
+    uint64_t at = 0;
+    for (const RawTrajectory& t : corpus_) {
+      CorpusTripRecord rec{};
+      rec.samples_begin = at;
+      rec.samples_count = t.samples.size();
+      rec.traveler = t.traveler;
+      AppendPod(&trips, rec);
+      at += t.samples.size();
+    }
+    samples.reserve(static_cast<size_t>(at) * sizeof(CorpusSampleRecord));
+    for (const RawTrajectory& t : corpus_) {
+      samples += BytesOf(std::span<const RawSample>(t.samples));
+    }
+    writer.AddSection(SectionType::kCorpusTrips, kSectionVersion,
+                      sizeof(CorpusTripRecord), std::move(trips));
+    writer.AddSection(SectionType::kCorpusSamples, kSectionVersion,
+                      sizeof(CorpusSampleRecord), std::move(samples));
+  }
+  if (trip_index_ != nullptr) {
+    // The three posting families: sorted keys, uint32 list starts and
+    // ascending uint32 trip ids, searched in place after a load.
+    const FrozenIndexArrays& a = trip_index_->arrays();
+    writer.AddSection(SectionType::kCellKeys, kSectionVersion,
+                      sizeof(uint64_t), BytesOf(a.cell.keys));
+    writer.AddSection(SectionType::kCellOffsets, kSectionVersion,
+                      sizeof(uint32_t), BytesOf(a.cell.offsets));
+    writer.AddSection(SectionType::kCellIds, kSectionVersion,
+                      sizeof(uint32_t), BytesOf(a.cell.ids));
+    writer.AddSection(SectionType::kCellBucketKeys, kSectionVersion,
+                      sizeof(TripCellRecord), BytesOf(a.cell_bucket.keys));
+    writer.AddSection(SectionType::kCellBucketOffsets, kSectionVersion,
+                      sizeof(uint32_t), BytesOf(a.cell_bucket.offsets));
+    writer.AddSection(SectionType::kCellBucketIds, kSectionVersion,
+                      sizeof(uint32_t), BytesOf(a.cell_bucket.ids));
+    writer.AddSection(SectionType::kLabelKeys, kSectionVersion,
+                      sizeof(int64_t), BytesOf(a.label.keys));
+    writer.AddSection(SectionType::kLabelOffsets, kSectionVersion,
+                      sizeof(uint32_t), BytesOf(a.label.offsets));
+    writer.AddSection(SectionType::kLabelIds, kSectionVersion,
+                      sizeof(uint32_t), BytesOf(a.label.ids));
   }
 
   return writer.Finish(path);
@@ -616,7 +728,8 @@ Result<LandmarkIndex> LoadLandmarksFromContainer(const MappedContainer& c,
 // Load
 // ---------------------------------------------------------------------------
 
-Status STMaker::LoadModelContainer(const MappedContainer& c) {
+Status STMaker::LoadModelContainer(const MappedContainer& c,
+                                   double* corpus_ms) {
   // Reset trained state; on any failure the maker stays untrained.
   analyzer_.reset();
   feature_map_.reset();
@@ -624,7 +737,7 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
   visit_corpus_ = VisitCorpus();
   num_trained_ = 0;
   trip_index_.reset();
-  index_build_failed_ = false;
+  corpus_.clear();
   DropRoadHierarchy();
 
   STMAKER_ASSIGN_OR_RETURN(ContainerMetaRecord meta, ReadMeta(c));
@@ -653,6 +766,14 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
   }
 
   // --- Parse every section into locals; commit only after all succeed. ------
+
+  const auto corpus_start = std::chrono::steady_clock::now();
+  STMAKER_ASSIGN_OR_RETURN(std::vector<RawTrajectory> corpus, LoadCorpus(c));
+  if (corpus_ms != nullptr) {
+    *corpus_ms = std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - corpus_start)
+                     .count();
+  }
 
   // Transitions, replayed in first-mined order.
   PopularRouteMiner miner;
@@ -755,81 +876,47 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
     static Counter& load_failures =
         MetricsRegistry::Global().counter("index.load_failures");
     Status loaded = [&]() -> Status {
+      FrozenIndexArrays a;
       STMAKER_ASSIGN_OR_RETURN(
-          const SectionEntry* desc_entry,
-          AdvisorySection(c, SectionType::kTripDescriptors));
-      STMAKER_ASSIGN_OR_RETURN(const SectionEntry* cells_entry,
-                               AdvisorySection(c, SectionType::kTripCells));
-      STMAKER_ASSIGN_OR_RETURN(const SectionEntry* labels_entry,
-                               AdvisorySection(c, SectionType::kTripLabels));
+          a.trips, (MappedArray<FrozenTrip, TripDescRecord>(
+                       c, SectionType::kTripDescriptors)));
+      STMAKER_ASSIGN_OR_RETURN(a.cells,
+                               (MappedArray<CellBucket, TripCellRecord>(
+                                   c, SectionType::kTripCells)));
       STMAKER_ASSIGN_OR_RETURN(
-          const SectionEntry* fp_entry,
-          AdvisorySection(c, SectionType::kTripFingerprints));
-      STMAKER_ASSIGN_OR_RETURN(auto descs,
-                               c.Records<TripDescRecord>(*desc_entry));
-      STMAKER_ASSIGN_OR_RETURN(auto cells,
-                               c.Records<TripCellRecord>(*cells_entry));
-      STMAKER_ASSIGN_OR_RETURN(auto labels,
-                               c.Records<int64_t>(*labels_entry));
-      STMAKER_ASSIGN_OR_RETURN(auto fps, c.Records<double>(*fp_entry));
-      if (descs.size() != meta.num_trips) {
-        return CountMismatch(c, SectionType::kTripDescriptors, descs.size(),
-                             meta.num_trips);
+          a.labels, MappedArray<LandmarkId>(c, SectionType::kTripLabels));
+      STMAKER_ASSIGN_OR_RETURN(
+          a.fingerprints,
+          MappedArray<double>(c, SectionType::kTripFingerprints));
+      STMAKER_ASSIGN_OR_RETURN(
+          a.cell, MappedPostings<uint64_t>(c, SectionType::kCellKeys,
+                                           SectionType::kCellOffsets,
+                                           SectionType::kCellIds));
+      STMAKER_ASSIGN_OR_RETURN(
+          a.cell_bucket,
+          (MappedPostings<CellBucket, TripCellRecord>(
+              c, SectionType::kCellBucketKeys,
+              SectionType::kCellBucketOffsets, SectionType::kCellBucketIds)));
+      STMAKER_ASSIGN_OR_RETURN(
+          a.label, MappedPostings<LandmarkId>(c, SectionType::kLabelKeys,
+                                              SectionType::kLabelOffsets,
+                                              SectionType::kLabelIds));
+      if (a.trips.size() != meta.num_trips) {
+        return CountMismatch(c, SectionType::kTripDescriptors,
+                             a.trips.size(), meta.num_trips);
       }
-      if (fps.size() != meta.num_trips * F) {
-        return CountMismatch(c, SectionType::kTripFingerprints, fps.size(),
-                             meta.num_trips * F);
+      if (a.trips.size() != corpus.size()) {
+        return Status::InvalidArgument(StrFormat(
+            "%s: the index covers %zu trips, the corpus holds %zu",
+            c.path().c_str(), a.trips.size(), corpus.size()));
       }
       TrajectoryIndexOptions options;
       options.cell_m = meta.index_cell_m;
       options.bucket_s = meta.index_bucket_s;
-      if (options.cell_m <= 0 || options.bucket_s <= 0) {
-        return Status::InvalidArgument(c.path() +
-                                       ": non-positive index geometry");
-      }
-      std::vector<TripDescriptor> descriptors;
-      descriptors.reserve(descs.size());
-      for (size_t i = 0; i < descs.size(); ++i) {
-        const TripDescRecord& rec = descs[i];
-        if (rec.trip != i || rec.spatial > 1 || rec.scored > 1) {
-          return Status::InvalidArgument(StrFormat(
-              "%s: trip descriptor %zu malformed", c.path().c_str(), i));
-        }
-        TripDescriptor d;
-        d.trip = rec.trip;
-        d.spatial = rec.spatial != 0;
-        d.scored = rec.scored != 0;
-        d.bbox.min = Vec2{rec.min_x, rec.min_y};
-        d.bbox.max = Vec2{rec.max_x, rec.max_y};
-        d.t_begin = rec.t_begin;
-        d.t_end = rec.t_end;
-        if (rec.cells_count > cells.size() ||
-            rec.cells_begin > cells.size() - rec.cells_count ||
-            rec.labels_count > labels.size() ||
-            rec.labels_begin > labels.size() - rec.labels_count) {
-          return Status::InvalidArgument(
-              StrFormat("%s: trip %zu cell/label slice out of bounds",
-                        c.path().c_str(), i));
-        }
-        for (uint64_t k = 0; k < rec.cells_count; ++k) {
-          const TripCellRecord& cr = cells[rec.cells_begin + k];
-          d.cell_buckets.emplace_back(cr.cell, cr.bucket);
-        }
-        if (!std::is_sorted(d.cell_buckets.begin(), d.cell_buckets.end())) {
-          return Status::InvalidArgument(c.path() +
-                                         ": unsorted cell postings");
-        }
-        for (uint64_t k = 0; k < rec.labels_count; ++k) {
-          d.labels.push_back(labels[rec.labels_begin + k]);
-        }
-        if (d.scored) {
-          d.fingerprint.assign(fps.begin() + i * F, fps.begin() + (i + 1) * F);
-        }
-        descriptors.push_back(std::move(d));
-      }
+      // The index pins the mapping it aliases, whatever else holds it.
       STMAKER_ASSIGN_OR_RETURN(
           TrajectoryIndex index,
-          TrajectoryIndex::Build(options, std::move(descriptors)));
+          TrajectoryIndex::Adopt(options, F, a, c.shared_from_this()));
       trip_index = std::make_unique<TrajectoryIndex>(std::move(index));
       return Status::OK();
     }();
@@ -878,6 +965,7 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
 
   // --- Commit. ---------------------------------------------------------------
   num_trained_ = static_cast<size_t>(meta.num_trained);
+  corpus_ = std::move(corpus);
   trip_index_ = std::move(trip_index);
   if (hierarchy != nullptr) {
     road_hierarchy_ = std::move(hierarchy);

@@ -25,8 +25,8 @@ bool SharesCellOrLabel(const TripDescriptor& a, const TripDescriptor& b) {
   size_t i = 0;
   size_t j = 0;
   while (i < a.cell_buckets.size() && j < b.cell_buckets.size()) {
-    const uint64_t ca = a.cell_buckets[i].first;
-    const uint64_t cb = b.cell_buckets[j].first;
+    const uint64_t ca = a.cell_buckets[i].cell;
+    const uint64_t cb = b.cell_buckets[j].cell;
     if (ca == cb) return true;
     if (ca < cb) {
       ++i;
@@ -79,20 +79,19 @@ Result<std::vector<TrajectoryIndex::Match>> STMaker::SimilarTrips(
   STMAKER_RETURN_IF_ERROR(CheckContext(ctx));
   const std::vector<double> weights = registry_.Weights();
 
-  // An index whose descriptor count disagrees with the serving corpus was
-  // built over different trajectories (a stale <model>_index.csv beside a
-  // new corpus); its trip ids would name the wrong trips. Treat it as
-  // absent — the scan keeps the identical-results contract.
+  // An index whose trip count disagrees with the corpus the caller serves
+  // was built over different trajectories; its trip ids would name the
+  // wrong trips. Treat it as absent — the scan keeps the identical-results
+  // contract.
   if (trip_index_ != nullptr &&
       trip_index_->descriptors().size() == corpus.size()) {
-    const std::vector<TripDescriptor>& descriptors =
-        trip_index_->descriptors();
-    if (!descriptors[trip].scored) {
+    const TripDescriptorView query = trip_index_->descriptors()[trip];
+    if (!query.scored) {
       return Status::FailedPrecondition(StrFormat(
           "trip %zu has no index fingerprint (quarantined during training)",
           trip));
     }
-    return trip_index_->SimilarTopK(descriptors[trip], k, weights, ctx);
+    return trip_index_->SimilarTopK(query, k, weights, ctx);
   }
 
   // Scan fallback: rebuild every trip's descriptor through the ingest

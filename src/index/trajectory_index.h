@@ -19,6 +19,13 @@
 ///   (cell, *, *)       trips with a fix in `cell` at any time
 ///   (*, label, *)      trips whose symbolic sequence visits `label`
 ///
+/// The index is frozen: the descriptors and the three posting families are
+/// flat arrays (fixed-width trip records; per family, sorted keys, uint32
+/// offsets and ascending uint32 trip ids), searched in place by binary
+/// search. Train builds them into owned vectors; a container load serves
+/// them straight from the mapping after one O(size) validation pass. The
+/// same query code runs over both.
+///
 /// Queries follow the filter-refine pattern: posting lookups produce a
 /// candidate id set that provably contains every true result, and an exact
 /// pass (cosine re-rank for similarity, raw-sample containment for region
@@ -27,15 +34,17 @@
 /// corpus scan, which tests/index_test.cc pins with a differential oracle.
 ///
 /// Determinism: descriptors are built per trip (sharded ingestion writes
-/// disjoint slots) and postings are rebuilt by one pass over the
-/// descriptors in trip-id order, so the index — and its serialized form —
-/// is byte-identical at every thread count. All ranking ties break by
-/// ascending trip id.
+/// disjoint slots) and the postings are a sort of (key, trip) pairs, so the
+/// index — and its serialized form — is byte-identical at every thread
+/// count. All ranking ties break by ascending trip id.
 
+#include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -57,6 +66,14 @@ struct TrajectoryIndexOptions {
   double bucket_s = 3600.0;
 };
 
+/// One (grid cell, coarse time bucket) visit, ordered by cell, then bucket.
+/// The layout is the container's kTripCells record.
+struct CellBucket {
+  uint64_t cell = 0;
+  int64_t bucket = 0;
+  friend auto operator<=>(const CellBucket&, const CellBucket&) = default;
+};
+
 /// \brief One corpus trip reduced to its index-relevant shape.
 ///
 /// `trip` is the trip's position in the serving corpus. `spatial` is true
@@ -76,20 +93,109 @@ struct TripDescriptor {
   double t_begin = 0;        ///< first fix timestamp
   double t_end = 0;          ///< last fix timestamp
   /// Sorted, unique (grid cell, time bucket) visits of the raw fixes.
-  std::vector<std::pair<uint64_t, int64_t>> cell_buckets;
+  std::vector<CellBucket> cell_buckets;
   /// Sorted, unique landmark labels of the symbolic sequence.
   std::vector<LandmarkId> labels;
   /// The ordered symbolic landmark sequence. Train-time only (popular-route
-  /// mining replays transitions from it); not persisted, empty after a
-  /// container restore.
+  /// mining replays transitions from it); not part of the index.
   std::vector<LandmarkId> sequence;
   /// Mean of the normalized per-segment feature vectors (one entry per
   /// registry feature) — the Eq. 3 scoring vector.
   std::vector<double> fingerprint;
 };
 
+/// A read-only view of one descriptor: in place in an index's arrays, or
+/// over a TripDescriptor (external queries, index builds). Unscored trips
+/// have an empty fingerprint.
+struct TripDescriptorView {
+  uint32_t trip = TripDescriptor::kNoTrip;
+  bool spatial = false;
+  bool scored = false;
+  BoundingBox bbox;
+  double t_begin = 0;
+  double t_end = 0;
+  std::span<const CellBucket> cell_buckets;
+  std::span<const LandmarkId> labels;
+  std::span<const double> fingerprint;
+
+  TripDescriptorView() = default;
+  TripDescriptorView(const TripDescriptor& d)  // NOLINT: implicit by design
+      : trip(d.trip),
+        spatial(d.spatial),
+        scored(d.scored),
+        bbox(d.bbox),
+        t_begin(d.t_begin),
+        t_end(d.t_end),
+        cell_buckets(d.cell_buckets),
+        labels(d.labels),
+        fingerprint(d.fingerprint) {}
+};
+
+/// Fixed-width record of one descriptor in a frozen index. Its cells,
+/// labels and fingerprint live in the shared arrays, addressed by (begin,
+/// count). The layout is the container's kTripDescriptors record.
+struct FrozenTrip {
+  uint32_t trip = 0;
+  uint8_t spatial = 0;  ///< 0 or 1.
+  uint8_t scored = 0;   ///< 0 or 1.
+  uint16_t pad = 0;     ///< Zero.
+  double min_x = 0, min_y = 0, max_x = 0, max_y = 0;  ///< Bounding box.
+  double t_begin = 0, t_end = 0;
+  uint64_t cells_begin = 0;   ///< First entry in FrozenIndexArrays::cells.
+  uint64_t cells_count = 0;
+  uint64_t labels_begin = 0;  ///< First entry in FrozenIndexArrays::labels.
+  uint64_t labels_count = 0;
+};
+
+/// One posting family in CSR form: `keys` strictly ascending; the list of
+/// keys[i] is ids[offsets[i], offsets[i + 1]), ascending trip ids.
+template <typename Key>
+struct PostingLists {
+  std::span<const Key> keys;
+  std::span<const uint32_t> offsets;  ///< keys.size() + 1 entries.
+  std::span<const uint32_t> ids;
+
+  std::span<const uint32_t> list(size_t i) const {
+    return ids.subspan(offsets[i], offsets[i + 1] - offsets[i]);
+  }
+  /// Index of the first key not less than `key`, searching from `from`.
+  size_t LowerBound(const Key& key, size_t from = 0) const {
+    return static_cast<size_t>(
+        std::lower_bound(keys.begin() + static_cast<ptrdiff_t>(from),
+                         keys.end(), key) -
+        keys.begin());
+  }
+};
+
+/// Everything a TrajectoryIndex reads, as flat arrays — exactly the
+/// index's container sections (docs/FORMAT.md §5). After a build they are
+/// owned vectors; after a container load they alias the mapping.
+struct FrozenIndexArrays {
+  std::span<const FrozenTrip> trips;     ///< One record per corpus trip.
+  std::span<const CellBucket> cells;     ///< All trips' cell visits.
+  std::span<const LandmarkId> labels;    ///< All trips' landmark labels.
+  std::span<const double> fingerprints;  ///< trips x num_features, row-major.
+  PostingLists<uint64_t> cell;           ///< (cell, *, *)
+  PostingLists<CellBucket> cell_bucket;  ///< (cell, *, bucket)
+  PostingLists<LandmarkId> label;        ///< (*, label, *)
+};
+
+/// The descriptors of an index, viewed in place: descriptors()[t] is trip
+/// t's TripDescriptorView.
+class TripDescriptorTable {
+ public:
+  TripDescriptorTable(const FrozenIndexArrays* arrays, size_t num_features)
+      : arrays_(arrays), num_features_(num_features) {}
+  size_t size() const { return arrays_->trips.size(); }
+  TripDescriptorView operator[](size_t trip) const;
+
+ private:
+  const FrozenIndexArrays* arrays_;
+  size_t num_features_;
+};
+
 /// See the file comment. Immutable once built; concurrent const queries
-/// are safe.
+/// are safe. Copies share the same arrays.
 class TrajectoryIndex {
  public:
   /// One ranked similarity result.
@@ -98,11 +204,24 @@ class TrajectoryIndex {
     double score = 0;  ///< Eq. 3 weighted cosine in [0, 1]
   };
 
-  /// Builds the posting lists from `descriptors` (descriptor i must carry
-  /// trip id i). Failpoint "index/build" injects a build failure so tests
-  /// can prove training and serving degrade to the scan path cleanly.
-  static Result<TrajectoryIndex> Build(const TrajectoryIndexOptions& options,
-                                       std::vector<TripDescriptor> descriptors);
+  /// Builds the frozen arrays from `descriptors`: descriptor i becomes trip
+  /// i, and every scored descriptor carries `num_features` fingerprint
+  /// entries. The views need only live for the call. Failpoint
+  /// "index/build" injects a build failure so tests can prove training and
+  /// serving degrade to the scan path cleanly.
+  static Result<TrajectoryIndex> Build(
+      const TrajectoryIndexOptions& options, size_t num_features,
+      std::span<const TripDescriptorView> descriptors);
+
+  /// Serves `arrays` in place — no copy, no rebuild. `backing` owns the
+  /// memory the arrays alias (the mapped container) and is pinned for the
+  /// index's lifetime. Every record, offset, trip id and key order is
+  /// validated first, in one O(size) pass, so a hostile file can make the
+  /// load fail but never make a query read out of bounds.
+  static Result<TrajectoryIndex> Adopt(const TrajectoryIndexOptions& options,
+                                       size_t num_features,
+                                       const FrozenIndexArrays& arrays,
+                                       std::shared_ptr<const void> backing);
 
   /// Grid cell key of a point: the packed (floor(x/cell), floor(y/cell))
   /// integer pair.
@@ -124,27 +243,28 @@ class TrajectoryIndex {
                                size_t num_features, TripDescriptor* descriptor);
 
   const TrajectoryIndexOptions& options() const { return options_; }
-  const std::vector<TripDescriptor>& descriptors() const {
-    return descriptors_;
-  }
-  /// The descriptors, surrendered for an incremental rebuild.
-  std::vector<TripDescriptor> TakeDescriptors() {
-    return std::move(descriptors_);
+  /// The frozen arrays (the container writer stores them verbatim).
+  const FrozenIndexArrays& arrays() const { return arrays_; }
+  TripDescriptorTable descriptors() const {
+    return TripDescriptorTable(&arrays_, num_features_);
   }
   /// Total posting-list entries across every key family (observability).
-  size_t num_postings() const { return num_postings_; }
+  size_t num_postings() const {
+    return arrays_.cell.ids.size() + arrays_.cell_bucket.ids.size() +
+           arrays_.label.ids.size();
+  }
 
   /// Candidate generation for similarity: the ascending trip ids of every
   /// scored trip sharing at least one grid cell or landmark label with
   /// `query`, excluding `query.trip` itself. This is exactly the
   /// relatedness filter of the retrieval semantics, not an approximation —
   /// the re-rank only orders it.
-  std::vector<uint32_t> SimilarCandidates(const TripDescriptor& query) const;
+  std::vector<uint32_t> SimilarCandidates(const TripDescriptorView& query) const;
 
   /// Top-k similar trips: SimilarCandidates scored by the Eq. 3 weighted
   /// cosine of the fingerprints under `weights`, ranked by (score desc,
   /// trip id asc). `ctx` bounds the scan (kDeadlineExceeded/kCancelled).
-  Result<std::vector<Match>> SimilarTopK(const TripDescriptor& query,
+  Result<std::vector<Match>> SimilarTopK(const TripDescriptorView& query,
                                          size_t k,
                                          const std::vector<double>& weights,
                                          const RequestContext* ctx) const;
@@ -154,8 +274,8 @@ class TrajectoryIndex {
   /// (and, with a window, in a bucket overlapping [t0, t1]). A superset of
   /// the true result set — every trip with a fix inside the box posted the
   /// fix's own cell — which the caller refines against raw samples. `ctx`
-  /// bounds the enumeration (kDeadlineExceeded/kCancelled): box and window
-  /// arrive off the wire, so the probe loops must stay cancellable.
+  /// bounds the walk (kDeadlineExceeded/kCancelled): box and window arrive
+  /// off the wire, so the loops must stay cancellable.
   Result<std::vector<uint32_t>> RegionCandidates(const BoundingBox& box,
                                                  bool has_window, double t0,
                                                  double t1,
@@ -169,25 +289,11 @@ class TrajectoryIndex {
  private:
   TrajectoryIndex() = default;
 
-  struct PairHash {
-    size_t operator()(const std::pair<uint64_t, int64_t>& p) const {
-      uint64_t h = p.first * 0x9e3779b97f4a7c15ULL;
-      h ^= static_cast<uint64_t>(p.second) + (h << 6) + (h >> 2);
-      return static_cast<size_t>(h);
-    }
-  };
-
   TrajectoryIndexOptions options_;
-  std::vector<TripDescriptor> descriptors_;
-  /// (cell, *, *): cell -> ascending trip ids.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> cell_postings_;
-  /// (cell, *, bucket): (cell, bucket) -> ascending trip ids.
-  std::unordered_map<std::pair<uint64_t, int64_t>, std::vector<uint32_t>,
-                     PairHash>
-      cell_bucket_postings_;
-  /// (*, label, *): label -> ascending trip ids.
-  std::unordered_map<LandmarkId, std::vector<uint32_t>> label_postings_;
-  size_t num_postings_ = 0;
+  size_t num_features_ = 0;
+  FrozenIndexArrays arrays_;
+  /// Owns what arrays_ aliases: the built vectors, or the mapped container.
+  std::shared_ptr<const void> backing_;
 };
 
 }  // namespace stmaker

@@ -189,11 +189,18 @@ Result<std::shared_ptr<MappedContainer>> MappedContainer::Open(
         std::string(kContainerMagic, sizeof(kContainerMagic)) +
         "\"), not a model container");
   }
-  if (h.format_version == 0 ||
-      h.format_version > kContainerFormatVersion) {
+  if (h.format_version > kContainerFormatVersion) {
     return Status::FailedPrecondition(StrFormat(
         "%s: container format version %u is newer than this reader "
-        "(max %u); upgrade the server or re-pack the model",
+        "(version %u); upgrade the server",
+        path.c_str(), h.format_version, kContainerFormatVersion));
+  }
+  if (h.format_version != kContainerFormatVersion) {
+    return Status::FailedPrecondition(StrFormat(
+        "%s: container format version %u is older than this reader "
+        "(version %u, which seals the serving corpus and the frozen "
+        "trajectory index into the model); retrain the model with "
+        "`stmaker_cli train`",
         path.c_str(), h.format_version, kContainerFormatVersion));
   }
   if (h.file_bytes != size) {

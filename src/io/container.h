@@ -59,11 +59,24 @@ enum class SectionType : uint32_t {
   kChRank = 19,           ///< uint32_t per node: contraction rank.
   kChArcs = 20,           ///< ChArcRecord per CH arc (originals + shortcuts).
   kStats = 21,            ///< double: [global_count, global_sum[0..F-1]].
+  kCorpusTrips = 22,      ///< CorpusTripRecord per serving-corpus trip.
+  kCorpusSamples = 23,    ///< CorpusSampleRecord: all trips' raw fixes.
+  kCellKeys = 24,         ///< uint64_t: (cell, *, *) keys, ascending.
+  kCellOffsets = 25,      ///< uint32_t: kCellKeys count + 1 list starts.
+  kCellIds = 26,          ///< uint32_t: (cell, *, *) trip ids.
+  kCellBucketKeys = 27,   ///< TripCellRecord: (cell, *, bucket) keys.
+  kCellBucketOffsets = 28,///< uint32_t: kCellBucketKeys count + 1 starts.
+  kCellBucketIds = 29,    ///< uint32_t: (cell, *, bucket) trip ids.
+  kLabelKeys = 30,        ///< int64_t: (*, label, *) keys, ascending.
+  kLabelOffsets = 31,     ///< uint32_t: kLabelKeys count + 1 list starts.
+  kLabelIds = 32,         ///< uint32_t: (*, label, *) trip ids.
 };
 
-/// Current writer format version. Readers accept files with
-/// `format_version` <= this value and reject newer files (FORMAT.md §6).
-inline constexpr uint32_t kContainerFormatVersion = 1;
+/// The container format version, written and accepted (FORMAT.md §6).
+/// There is one format: readers reject every other version — an older
+/// file with an error that says to retrain, a newer one with an error that
+/// says to upgrade.
+inline constexpr uint32_t kContainerFormatVersion = 2;
 
 /// The 8 magic bytes at offset 0 of every container file.
 inline constexpr char kContainerMagic[8] = {'S', 'T', 'M', 'K',
@@ -224,6 +237,26 @@ struct TripCellRecord {
 };
 static_assert(sizeof(TripCellRecord) == 16, "trip cell layout is frozen");
 
+/// kCorpusTrips record: one serving-corpus trip. Its fixes are the
+/// kCorpusSamples records [samples_begin, samples_begin + samples_count);
+/// trips are stored in corpus order and their slices are contiguous.
+struct CorpusTripRecord {
+  uint64_t samples_begin; ///< First record in kCorpusSamples.
+  uint64_t samples_count;
+  int64_t traveler;       ///< Moving-object id; -1 when unknown.
+};
+static_assert(sizeof(CorpusTripRecord) == 24, "corpus trip layout is frozen");
+
+/// kCorpusSamples record: a RawSample (layout matches exactly, so a trip's
+/// fixes copy out with one memcpy), holding the values exactly as trained.
+struct CorpusSampleRecord {
+  double x;
+  double y;
+  double time;
+};
+static_assert(sizeof(CorpusSampleRecord) == 24,
+              "corpus sample layout is frozen");
+
 /// kChArcs record: a ContractionHierarchy::Arc (layout matches exactly, so
 /// the array round-trips by memcpy).
 struct ChArcRecord {
@@ -286,8 +319,9 @@ class ContainerWriter {
 /// cold start never parses the payloads. Per-section payload CRCs are
 /// checked by the caller via VerifyCrc(), which decides fatal-vs-advisory
 /// per section. The object must outlive every span handed out by
-/// Records()/Blob(); ModelSnapshot pins it for exactly that reason.
-class MappedContainer {
+/// Records()/Blob(): ModelSnapshot pins it, and a served trajectory index
+/// pins it itself through shared_from_this().
+class MappedContainer : public std::enable_shared_from_this<MappedContainer> {
  public:
   MappedContainer(const MappedContainer&) = delete;
   MappedContainer& operator=(const MappedContainer&) = delete;

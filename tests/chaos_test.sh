@@ -6,8 +6,9 @@
 # load, and checks the lifecycle invariants: no crash, exactly one reply
 # per accepted request, model_version never torn, rollback on injected
 # corruption, SIGTERM drain exit 0. The model is the mmap-served container
-# (docs/FORMAT.md) and the bad-reload target is a truncated copy of it, so
-# a rejected reload must leave the old snapshot serving off its
+# (docs/FORMAT.md) and the bad-reload target is a truncated copy of it or
+# one with a damaged serving corpus, so a rejected reload must leave the
+# old snapshot serving off its
 # still-mapped file, and a schedule that arms the container/map failpoint
 # must degrade to the heap-read fallback — never a torn snapshot.
 # Registered with ctest; $1 = chaos binary, $2 = stmaker_cli binary.
@@ -21,15 +22,21 @@ source "$(dirname "$0")/serve_lib.sh"
 echo "== gen + train =="
 serve_world
 
-echo "== stage a corrupt model (truncated container) =="
+echo "== stage corrupt models =="
 # Truncation is guaranteed corruption: the header's file_bytes no longer
-# matches, so MappedContainer::Open rejects the candidate outright.
-BAD="$DIR/badmodel.stm"
-head -c 3000 "$DIR/model.stm" > "$BAD"
+# matches, so MappedContainer::Open rejects the candidate outright. The
+# flipped copies get past Open and fail the load on a required section's
+# CRC: the serving corpus (SectionType 22 = kCorpusTrips, 23 =
+# kCorpusSamples). Seeds take them in turn.
+BADS=("$DIR/badmodel.stm" "$DIR/badcorpus_trips.stm" "$DIR/badcorpus_samples.stm")
+head -c 3000 "$DIR/model.stm" > "${BADS[0]}"
+flip_section_byte "$DIR/model.stm" "${BADS[1]}" 22
+flip_section_byte "$DIR/model.stm" "${BADS[2]}" 23
 
 FAILED=()
 for seed in $SEEDS; do
-  echo "== chaos seed $seed =="
+  BAD="${BADS[$((seed % ${#BADS[@]}))]}"
+  echo "== chaos seed $seed (bad model $(basename "$BAD")) =="
   # 40 qps stays well inside capacity even on a TSan build (the point is
   # lifecycle invariants under faults, not saturation — the SLO bench owns
   # that); the loadgen leg must see zero unanswered requests.
@@ -44,7 +51,8 @@ if [[ ${#FAILED[@]} -gt 0 ]]; then
   echo "Repro a single seed outside ctest with:"
   for seed in "${FAILED[@]}"; do
     echo "  $CHAOS --cli $CLI --dir <datadir> --model <datadir>/model.stm" \
-         "--bad_model <truncated-copy>.stm --seed $seed"
+         "--bad_model <corrupt-copy>.stm --seed $seed" \
+         "(corrupt copy: $(basename "${BADS[$((seed % ${#BADS[@]}))]}"))"
   done
   echo "(regenerate <datadir> with: $CLI gen --dir <datadir> --seed 5" \
        "--blocks 10 --trips 80 --pois 100 && $CLI train --dir <datadir>" \

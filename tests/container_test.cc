@@ -13,6 +13,7 @@
 #include <sys/stat.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -65,6 +66,43 @@ void ResealHeaderCrc(std::string* bytes) {
               crc);
   std::memcpy(bytes->data() + offsetof(ContainerHeader, header_crc32), &crc,
               sizeof(crc));
+}
+
+/// Applies `mutate` to the payload of the first section of `type`, then
+/// re-seals that section's CRC and the header CRC: the crafted payload is
+/// checksum-valid, so the loader's own validation (and only it) must
+/// reject it.
+void PatchSection(std::string* bytes, SectionType type,
+                  const std::function<void(char* payload, size_t size)>&
+                      mutate) {
+  const ContainerHeader header = HeaderOf(*bytes);
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    const size_t at = sizeof(ContainerHeader) + i * sizeof(SectionEntry);
+    SectionEntry entry{};
+    std::memcpy(&entry, bytes->data() + at, sizeof(entry));
+    if (entry.type != static_cast<uint32_t>(type)) continue;
+    char* payload = bytes->data() + entry.offset;
+    mutate(payload, static_cast<size_t>(entry.bytes));
+    entry.crc32 = Crc32(std::string_view(payload, entry.bytes));
+    std::memcpy(bytes->data() + at, &entry, sizeof(entry));
+    ResealHeaderCrc(bytes);
+    return;
+  }
+  STMAKER_CHECK(false && "no section of that type");
+}
+
+/// Reads the i-th `T` of a payload (unaligned-safe).
+template <typename T>
+T Get(const char* payload, size_t i) {
+  T v;
+  std::memcpy(&v, payload + i * sizeof(T), sizeof(T));
+  return v;
+}
+
+/// Writes the i-th `T` of a payload (unaligned-safe).
+template <typename T>
+void Put(char* payload, size_t i, T v) {
+  std::memcpy(payload + i * sizeof(T), &v, sizeof(T));
 }
 
 std::string MutatedCopy(const std::string& good_path, const std::string& name,
@@ -406,6 +444,233 @@ TEST_F(ContainerTest, ManagerServesContainerAndRollsBackOnCorruptReload) {
       swapped->maker->Summarize(swapped->trajectories[0]);
   ASSERT_TRUE(reserved.ok());
   EXPECT_EQ(first->text, reserved->text);
+}
+
+// --- the sealed corpus and the frozen index ---------------------------------
+
+TEST_F(ContainerTest, OpenRejectsVersionOneWithARetrainError) {
+  // There is one format: a v1 file (no corpus, no frozen postings) is
+  // refused at Open with an error that says what to do.
+  const std::string path = MutatedCopy(
+      cw_.container_path, "container_v1.stm", [](std::string* bytes) {
+        const uint32_t v1 = 1;
+        std::memcpy(bytes->data() + offsetof(ContainerHeader, format_version),
+                    &v1, sizeof(v1));
+        ResealHeaderCrc(bytes);
+      });
+  Result<std::shared_ptr<MappedContainer>> opened = MappedContainer::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(opened.status().message().find("retrain"), std::string::npos)
+      << opened.status().ToString();
+}
+
+TEST_F(ContainerTest, ContainerEqualsCsvAndIsIdenticalAcrossThreadCounts) {
+  // The corpus a container serves is the corpus it was trained on, bit
+  // for bit: train on trajectories.csv as read back, at 1 and at 4
+  // threads. Both containers must be byte-identical, and the restored
+  // corpus memcmp-equal to ReadTrajectoriesCsv of the same file.
+  Result<std::vector<RawTrajectory>> csv =
+      ReadTrajectoriesCsv(cw_.dir + "/trajectories.csv");
+  ASSERT_TRUE(csv.ok()) << csv.status().ToString();
+  Result<std::vector<RawPoi>> pois = ReadPoisCsv(cw_.dir + "/pois.csv");
+  ASSERT_TRUE(pois.ok());
+  std::vector<std::string> images;
+  for (int threads : {1, 4}) {
+    // Training installs significances into its landmark index, so each
+    // maker gets its own instead of the fixture's.
+    LandmarkIndex landmarks = LandmarkIndex::Build(*cw_.network, *pois);
+    STMakerOptions options;
+    options.num_threads = threads;
+    STMaker maker(cw_.network, &landmarks, FeatureRegistry::BuiltIn(),
+                  options);
+    ASSERT_TRUE(maker.Train(*csv).ok());
+    const std::string path =
+        TempPrefix("container_csv_t" + std::to_string(threads) + ".stm");
+    ASSERT_TRUE(maker.SaveModelContainer(path).ok());
+    Result<std::string> bytes = ReadFileToString(path);
+    ASSERT_TRUE(bytes.ok());
+    images.push_back(std::move(*bytes));
+  }
+  EXPECT_TRUE(images[0] == images[1])
+      << "container differs between 1 and 4 training threads";
+
+  auto loaded = LoadContainerModel(TempPrefix("container_csv_t1.stm"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::span<const RawTrajectory> served = (*loaded)->maker->corpus();
+  ASSERT_EQ(served.size(), csv->size());
+  for (size_t t = 0; t < served.size(); ++t) {
+    const RawTrajectory& want = (*csv)[t];
+    ASSERT_EQ(served[t].traveler, want.traveler) << "trip " << t;
+    ASSERT_EQ(served[t].samples.size(), want.samples.size()) << "trip " << t;
+    EXPECT_EQ(std::memcmp(served[t].samples.data(), want.samples.data(),
+                          want.samples.size() * sizeof(RawSample)),
+              0)
+        << "trip " << t;
+  }
+}
+
+TEST_F(ContainerTest, ManagerServesTheContainerCorpusWithoutDatasetFiles) {
+  // A model load reads nothing but the container: an empty data dir
+  // serves the same corpus the model was trained on.
+  const std::string empty = TempPrefix("container_empty_dir");
+  ::mkdir(empty.c_str(), 0755);
+  ModelManagerOptions opts;
+  opts.data_dir = empty;
+  opts.model_prefix = cw_.container_path;
+  ModelManager manager(opts);
+  ASSERT_TRUE(manager.Initialize().ok());
+  std::shared_ptr<const ModelSnapshot> snapshot = manager.Current();
+  ASSERT_EQ(snapshot->trajectories.size(), cw_.raws.size());
+  EXPECT_EQ(snapshot->trajectories.data(),
+            snapshot->maker->corpus().data())
+      << "the snapshot must view the maker's corpus, not hold a copy";
+  Result<Summary> expect = cw_.maker->Summarize(cw_.raws[2]);
+  Result<Summary> got = snapshot->maker->Summarize(snapshot->trajectories[2]);
+  ASSERT_EQ(expect.ok(), got.ok());
+  if (expect.ok()) {
+    EXPECT_EQ(expect->text, got->text);
+  }
+}
+
+/// Loads a crafted container whose index sections are checksum-valid but
+/// inconsistent: the model must load, serve without an index (counted in
+/// `index.load_failures`), and answer both retrieval verbs exactly as the
+/// indexed fixture maker does.
+void ExpectHostileIndexServesTheScan(const ContainerWorld& cw,
+                                     const std::string& name,
+                                     SectionType type,
+                                     const std::function<void(char*, size_t)>&
+                                         mutate) {
+  SCOPED_TRACE(name);
+  Result<std::string> bytes = ReadFileToString(cw.container_path);
+  ASSERT_TRUE(bytes.ok());
+  PatchSection(&*bytes, type, mutate);
+  const std::string path = TempPrefix(name);
+  ASSERT_TRUE(WriteFileToPath(path, *bytes).ok());
+
+  Counter& failures = MetricsRegistry::Global().counter("index.load_failures");
+  const uint64_t base = failures.value();
+  auto loaded = LoadContainerModel(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const STMaker& maker = *(*loaded)->maker;
+  EXPECT_FALSE(maker.has_trajectory_index());
+  EXPECT_EQ(failures.value(), base + 1);
+
+  std::span<const RawTrajectory> corpus = maker.corpus();
+  for (size_t trip : {size_t{0}, size_t{7}, size_t{31}}) {
+    auto scanned = maker.SimilarTrips(corpus, trip, 6);
+    auto indexed = cw.maker->SimilarTrips(cw.raws, trip, 6);
+    ASSERT_EQ(scanned.ok(), indexed.ok()) << "trip " << trip;
+    if (!scanned.ok()) continue;
+    ASSERT_EQ(scanned->size(), indexed->size());
+    for (size_t i = 0; i < scanned->size(); ++i) {
+      EXPECT_EQ((*scanned)[i].trip, (*indexed)[i].trip);
+      EXPECT_EQ((*scanned)[i].score, (*indexed)[i].score);
+    }
+  }
+  BoundingBox box;
+  box.Extend(Vec2{500, -2500});
+  box.Extend(Vec2{2500, -500});
+  auto scanned = maker.QueryRegion(corpus, box, std::nullopt);
+  auto indexed = cw.maker->QueryRegion(cw.raws, box, std::nullopt);
+  ASSERT_TRUE(scanned.ok() && indexed.ok());
+  EXPECT_EQ(*scanned, *indexed);
+}
+
+TEST_F(ContainerTest, HostileIndexSectionsFallBackToTheScan) {
+  const uint32_t num_trips = static_cast<uint32_t>(cw_.raws.size());
+  ExpectHostileIndexServesTheScan(
+      cw_, "hostile_trip_id.stm", SectionType::kCellIds,
+      [num_trips](char* p, size_t) { Put<uint32_t>(p, 0, num_trips); });
+  ExpectHostileIndexServesTheScan(
+      cw_, "hostile_huge_trip_id.stm", SectionType::kLabelIds,
+      [](char* p, size_t n) {
+        Put<uint32_t>(p, n / sizeof(uint32_t) - 1, 0xffffffffu);
+      });
+  ExpectHostileIndexServesTheScan(
+      cw_, "hostile_offsets.stm", SectionType::kCellBucketOffsets,
+      [](char* p, size_t) {
+        Put<uint32_t>(p, 1, Get<uint32_t>(p, 2) + 1);  // offsets[1] > [2]
+      });
+  ExpectHostileIndexServesTheScan(
+      cw_, "hostile_offsets_past_end.stm", SectionType::kCellOffsets,
+      [](char* p, size_t n) {
+        Put<uint32_t>(p, n / sizeof(uint32_t) - 2, 0x7fffffffu);
+      });
+  ExpectHostileIndexServesTheScan(
+      cw_, "hostile_unsorted_keys.stm", SectionType::kLabelKeys,
+      [](char* p, size_t) {
+        const int64_t a = Get<int64_t>(p, 0);
+        Put<int64_t>(p, 0, Get<int64_t>(p, 1));
+        Put<int64_t>(p, 1, a);
+      });
+  ExpectHostileIndexServesTheScan(
+      cw_, "hostile_duplicate_keys.stm", SectionType::kCellKeys,
+      [](char* p, size_t) { Put<uint64_t>(p, 1, Get<uint64_t>(p, 0)); });
+  ExpectHostileIndexServesTheScan(
+      cw_, "hostile_cell_slice.stm", SectionType::kTripDescriptors,
+      [](char* p, size_t) {
+        TripDescRecord rec = Get<TripDescRecord>(p, 0);
+        rec.cells_begin = ~uint64_t{0} - 1;
+        Put<TripDescRecord>(p, 0, rec);
+      });
+}
+
+TEST_F(ContainerTest, HostileCorpusFailsTheLoadAndTheReloadRollsBack) {
+  struct Case {
+    const char* name;
+    std::function<void(char*, size_t)> mutate;
+  };
+  const std::vector<Case> cases = {
+      {"hostile_corpus_past_end.stm",
+       [](char* p, size_t n) {
+         const size_t last = n / sizeof(CorpusTripRecord) - 1;
+         CorpusTripRecord rec = Get<CorpusTripRecord>(p, last);
+         rec.samples_count += 1;
+         Put<CorpusTripRecord>(p, last, rec);
+       }},
+      {"hostile_corpus_huge_slice.stm",
+       [](char* p, size_t) {
+         CorpusTripRecord rec = Get<CorpusTripRecord>(p, 0);
+         rec.samples_count = ~uint64_t{0};
+         Put<CorpusTripRecord>(p, 0, rec);
+       }},
+      {"hostile_corpus_gap.stm",
+       [](char* p, size_t) {
+         CorpusTripRecord rec = Get<CorpusTripRecord>(p, 1);
+         rec.samples_begin += 1;
+         Put<CorpusTripRecord>(p, 1, rec);
+       }},
+  };
+  ModelManagerOptions opts;
+  opts.data_dir = cw_.dir;
+  opts.model_prefix = cw_.container_path;
+  ModelManager manager(opts);
+  ASSERT_TRUE(manager.Initialize().ok());
+  std::shared_ptr<const ModelSnapshot> before = manager.Current();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Result<std::string> bytes = ReadFileToString(cw_.container_path);
+    ASSERT_TRUE(bytes.ok());
+    PatchSection(&*bytes, SectionType::kCorpusTrips, c.mutate);
+    const std::string path = TempPrefix(c.name);
+    ASSERT_TRUE(WriteFileToPath(path, *bytes).ok());
+
+    auto loaded = LoadContainerModel(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+
+    const uint64_t failures = manager.reload_failures();
+    EXPECT_FALSE(manager.Reload(path).ok());
+    EXPECT_EQ(manager.reload_failures(), failures + 1);
+    EXPECT_EQ(manager.Current().get(), before.get());
+  }
+  // The surviving snapshot still serves.
+  Result<Summary> summary =
+      before->maker->Summarize(before->trajectories[0]);
+  EXPECT_TRUE(summary.ok()) << summary.status().ToString();
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <set>
@@ -336,6 +337,26 @@ TEST_P(IndexFuzzTest, IndexedRetrievalMatchesOracleOnEveryTopology) {
       CheckRegionAgreement(maker, corpus, box, window);
     }
 
+    // Save -> load: the restored model serves the frozen index in place
+    // from the mapping, over the corpus sealed beside it. The same oracle
+    // must hold on every query.
+    {
+      const std::string path = ::testing::TempDir() + "/index_fuzz.stm";
+      ASSERT_TRUE(maker.SaveModelContainer(path).ok());
+      auto restored = LoadContainerModel(path);
+      ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+      const STMaker& loaded = *(*restored)->maker;
+      ASSERT_TRUE(loaded.has_trajectory_index());
+      std::span<const RawTrajectory> served = loaded.corpus();
+      ASSERT_EQ(served.size(), corpus.size());
+      for (size_t trip = 0; trip < served.size(); ++trip) {
+        CheckSimilarAgreement(loaded, served, reduced, trip, ks[trip]);
+      }
+      for (const auto& [box, window] : probes) {
+        CheckRegionAgreement(loaded, served, box, window);
+      }
+    }
+
     // Drop the index: the scan fallback must answer every query — both
     // verbs, same arguments — identically.
     maker.DropTrajectoryIndex();
@@ -479,6 +500,20 @@ TEST(IndexWorldTest, RegionCandidateLoopsObserveCancellation) {
   EXPECT_TRUE(free_run.ok());
 }
 
+TEST(IndexWorldTest, TrainKeepsTheCorpusItWasTrainedOn) {
+  const TestWorld& world = GetTestWorld();
+  std::vector<RawTrajectory> raws = WorldRaws(world);
+  std::span<const RawTrajectory> corpus = world.maker->corpus();
+  ASSERT_EQ(corpus.size(), raws.size());
+  ASSERT_EQ(world.maker->trip_index()->descriptors().size(), raws.size());
+  for (size_t t = 0; t < raws.size(); ++t) {
+    ASSERT_EQ(corpus[t].samples.size(), raws[t].samples.size());
+    EXPECT_EQ(std::memcmp(corpus[t].samples.data(), raws[t].samples.data(),
+                          raws[t].samples.size() * sizeof(RawSample)),
+              0);
+  }
+}
+
 TEST(IndexWorldTest, CorpusSizeMismatchFallsBackToScanForBothVerbs) {
   // A stale index (descriptor count != serving corpus size) describes
   // different trips; trusting it silently drops or invents results. Both
@@ -562,6 +597,30 @@ TEST(IndexWorldTest, IncrementalTrainingRebuildsTheSameIndex) {
   EXPECT_EQ(staged.trip_index()->SaveToString(),
             world.maker->trip_index()->SaveToString())
       << "Train(a)+TrainIncremental(b) must index exactly like Train(a+b)";
+  EXPECT_EQ(staged.corpus().size(), raws.size());
+
+  // The same, with a save -> load between the two: the incremental build
+  // starts from the descriptors viewed in place in the mapping.
+  // Its own landmark index (built as the world's is), since training
+  // installs significances into the index it is given.
+  PoiGeneratorOptions poi_options;
+  poi_options.num_sites = 250;
+  LandmarkIndex own_landmarks = LandmarkIndex::Build(
+      world.city.network, PoiGenerator(poi_options).Generate(world.city.network));
+  STMaker first_only(&world.city.network, &own_landmarks,
+                     FeatureRegistry::BuiltIn());
+  ASSERT_TRUE(first_only.Train(first).ok());
+  const std::string path = ::testing::TempDir() + "/index_incremental.stm";
+  ASSERT_TRUE(first_only.SaveModelContainer(path).ok());
+  auto restored = LoadContainerModel(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  STMaker& loaded = *(*restored)->maker;
+  ASSERT_TRUE(loaded.TrainIncremental(rest).ok());
+  ASSERT_TRUE(loaded.has_trajectory_index());
+  EXPECT_EQ(loaded.corpus().size(), raws.size());
+  EXPECT_EQ(loaded.trip_index()->SaveToString(),
+            world.maker->trip_index()->SaveToString())
+      << "load + TrainIncremental(b) must index exactly like Train(a+b)";
 }
 
 // --------------------------------------------------------------------------

@@ -9,7 +9,6 @@
 #include "common/metrics.h"
 #include "core/model_manager.h"
 #include "core/stmaker.h"
-#include "io/trajectory_io.h"
 #include "roadnet/shortest_path.h"
 #include "test_world.h"
 
@@ -208,20 +207,15 @@ TEST_F(ModelIoTest, FeatureMapSerializationHooks) {
   EXPECT_DOUBLE_EQ(rebuilt.GlobalAverage(0), map.GlobalAverage(0));
 }
 
-/// Builds (once) a ModelManager data_dir: the serving corpus
-/// (trajectories.csv) plus model containers trained on it — <dir>/model.stm
-/// and <dir>/second.stm (good, with hierarchy) and <dir>/noch.stm (a valid
-/// model saved without a hierarchy).
+/// Builds (once) a ModelManager data_dir holding model containers, each
+/// carrying its own serving corpus — <dir>/model.stm and <dir>/second.stm
+/// (good, with hierarchy) and <dir>/noch.stm (a valid model saved without
+/// a hierarchy).
 const std::string& GetManagerWorldDir() {
   static const std::string& dir = *[] {
     const TestWorld& world = GetTestWorld();
     auto* d = new std::string(::testing::TempDir() + "/manager_world");
     ::mkdir(d->c_str(), 0755);  // EEXIST from a previous run is fine
-    std::vector<RawTrajectory> raws;
-    raws.reserve(world.history.size());
-    for (const auto& trip : world.history) raws.push_back(trip.raw);
-    STMAKER_CHECK(WriteTrajectoriesCsv(*d + "/trajectories.csv", raws).ok());
-
     STMAKER_CHECK(world.maker->SaveModelContainer(*d + "/noch.stm").ok());
     STMAKER_CHECK(world.maker->BuildRoadHierarchy().ok());
     STMAKER_CHECK(world.maker->SaveModelContainer(*d + "/model.stm").ok());
@@ -282,7 +276,8 @@ TEST_F(ModelIoTest, ManagerReloadObservesEachStageOnce) {
   // The registry is process-global: compare counts around one reload.
   const std::vector<std::string> stages = {
       "model.reload.world_ms", "model.reload.corpus_ms",
-      "model.reload.model_ms", "model.reload.commit_ms"};
+      "model.reload.model_ms", "model.reload.commit_ms",
+      "model.reload.release_ms"};
   std::vector<uint64_t> before;
   for (const std::string& name : stages) {
     before.push_back(MetricsRegistry::Global().histogram(name).count());

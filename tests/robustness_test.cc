@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -23,6 +24,7 @@
 #include "common/random.h"
 #include "common/strings.h"
 #include "core/stmaker.h"
+#include "io/container.h"
 #include "io/poi_io.h"
 #include "io/road_network_io.h"
 #include "io/summary_json.h"
@@ -35,6 +37,7 @@
 namespace stmaker {
 namespace {
 
+using ::stmaker::testing::FlipSectionByte;
 using ::stmaker::testing::GetTestWorld;
 using ::stmaker::testing::LoadContainerModel;
 using ::stmaker::testing::TestWorld;
@@ -951,6 +954,104 @@ TEST_F(FailpointTest, StalledRouteSearchHonorsTheDeadline) {
   Result<Summary> retry =
       maker.Summarize(world.history[0].raw, SummaryOptions());
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+}
+
+// --------------------------------------------------------------------------
+// Container section damage table: every section the writer emits, and what
+// a flipped byte in it costs.
+// --------------------------------------------------------------------------
+
+enum class Damage { kFailsLoad, kLosesHierarchy, kLosesIndex };
+
+struct SectionPolicy {
+  SectionType type;
+  Damage damage;
+};
+
+// The world, the model and the serving corpus are required; the routing
+// hierarchy and the trajectory index (its descriptors and postings) are
+// advisory accelerators.
+constexpr SectionPolicy kSectionPolicies[] = {
+    {SectionType::kMeta, Damage::kFailsLoad},
+    {SectionType::kFeatureNames, Damage::kFailsLoad},
+    {SectionType::kNodes, Damage::kFailsLoad},
+    {SectionType::kEdges, Damage::kFailsLoad},
+    {SectionType::kEdgeNames, Damage::kFailsLoad},
+    {SectionType::kCsrOffsets, Damage::kFailsLoad},
+    {SectionType::kCsrEntries, Damage::kFailsLoad},
+    {SectionType::kEdgeGeom, Damage::kFailsLoad},
+    {SectionType::kEdgeEnds, Damage::kFailsLoad},
+    {SectionType::kLandmarks, Damage::kFailsLoad},
+    {SectionType::kLandmarkNames, Damage::kFailsLoad},
+    {SectionType::kTransitions, Damage::kFailsLoad},
+    {SectionType::kFeatureEdges, Damage::kFailsLoad},
+    {SectionType::kVisits, Damage::kFailsLoad},
+    {SectionType::kTripDescriptors, Damage::kLosesIndex},
+    {SectionType::kTripCells, Damage::kLosesIndex},
+    {SectionType::kTripLabels, Damage::kLosesIndex},
+    {SectionType::kTripFingerprints, Damage::kLosesIndex},
+    {SectionType::kChRank, Damage::kLosesHierarchy},
+    {SectionType::kChArcs, Damage::kLosesHierarchy},
+    {SectionType::kStats, Damage::kFailsLoad},
+    {SectionType::kCorpusTrips, Damage::kFailsLoad},
+    {SectionType::kCorpusSamples, Damage::kFailsLoad},
+    {SectionType::kCellKeys, Damage::kLosesIndex},
+    {SectionType::kCellOffsets, Damage::kLosesIndex},
+    {SectionType::kCellIds, Damage::kLosesIndex},
+    {SectionType::kCellBucketKeys, Damage::kLosesIndex},
+    {SectionType::kCellBucketOffsets, Damage::kLosesIndex},
+    {SectionType::kCellBucketIds, Damage::kLosesIndex},
+    {SectionType::kLabelKeys, Damage::kLosesIndex},
+    {SectionType::kLabelOffsets, Damage::kLosesIndex},
+    {SectionType::kLabelIds, Damage::kLosesIndex},
+};
+
+TEST(ContainerDamageTest, EverySectionHasItsDamagePolicy) {
+  const TestWorld& world = GetTestWorld();
+  const std::string good = TempPrefix("damage_table_good.stm");
+  ASSERT_TRUE(world.maker->BuildRoadHierarchy().ok());
+  Status saved = world.maker->SaveModelContainer(good);
+  world.maker->DropRoadHierarchy();  // the world is shared
+  ASSERT_TRUE(saved.ok()) << saved.ToString();
+
+  // The table covers exactly the sections the writer emits, so a new
+  // section cannot ship without a damage policy.
+  Result<std::shared_ptr<MappedContainer>> opened = MappedContainer::Open(good);
+  ASSERT_TRUE(opened.ok());
+  std::vector<uint32_t> written;
+  for (const SectionEntry& e : (*opened)->sections()) {
+    written.push_back(e.type);
+  }
+  std::vector<uint32_t> tabled;
+  for (const SectionPolicy& p : kSectionPolicies) {
+    tabled.push_back(static_cast<uint32_t>(p.type));
+  }
+  std::sort(written.begin(), written.end());
+  EXPECT_EQ(written, tabled);
+
+  for (const SectionPolicy& p : kSectionPolicies) {
+    const uint32_t type = static_cast<uint32_t>(p.type);
+    SCOPED_TRACE("section type " + std::to_string(type));
+    const std::string bad =
+        TempPrefix("damage_table_" + std::to_string(type) + ".stm");
+    ASSERT_TRUE(FlipSectionByte(good, bad, p.type).ok());
+    auto loaded = LoadContainerModel(bad);
+    switch (p.damage) {
+      case Damage::kFailsLoad:
+        EXPECT_FALSE(loaded.ok());
+        break;
+      case Damage::kLosesHierarchy:
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        EXPECT_FALSE((*loaded)->maker->has_road_hierarchy());
+        EXPECT_TRUE((*loaded)->maker->has_trajectory_index());
+        break;
+      case Damage::kLosesIndex:
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        EXPECT_TRUE((*loaded)->maker->has_road_hierarchy());
+        EXPECT_FALSE((*loaded)->maker->has_trajectory_index());
+        break;
+    }
+  }
 }
 
 }  // namespace

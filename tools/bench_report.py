@@ -19,7 +19,9 @@ Regression gate
 
 matches rows between the two runs (throughput rows by (name, threads),
 registry histograms by metric name), prints the p99 delta for every pair,
-and exits nonzero if any p99 regressed by more than 10%. Sub-0.05 ms rows
+and exits 1 if any p99 regressed by more than 10%. It refuses (exit 3)
+to compare two runs whose "machine" records differ in core count, CPU
+model or ISA flags: such a delta measures the hosts. Sub-0.05 ms rows
 are reported but never fail the gate: at that scale a single scheduler
 blip outweighs any code change, and a gate that cries wolf gets deleted.
 """
@@ -45,28 +47,40 @@ NOISE_FLOOR_MS = 0.05
 PERFBENCH_LOAD_SECTION = [
     "## Reload and cold start at the bench world",
     "",
-    "From the repository benchmark (`perfbench/`: 3,000 trips, a 315k-row, "
-    "12 MB",
-    "`trajectories.csv`) on a 4-vCPU Xeon host, not from "
-    "`BENCH_throughput.json`: ten",
-    "alternating pairs on `mixed_uniform` (seeds 101-110), before and after "
-    "the dataset",
-    "readers moved from materializing every field as a `std::string` to the "
-    "streaming",
-    "`CsvTableReader`. Medians:",
+    "From the repository benchmark (`perfbench/`: 3,000 trips, 316k fixes, "
+    "a ~16 MB model",
+    "container) on a 4-vCPU Xeon host, not from `BENCH_throughput.json`: "
+    "ten alternating",
+    "pairs on `mixed_uniform` (seeds 201-210, `--seconds 42`), before and "
+    "after the",
+    "container sealed the serving corpus and a frozen trajectory index "
+    "(format v2,",
+    "DESIGN.md §15-§17). Medians:",
     "",
-    "| metric | materializing reader | streaming reader |",
+    "| metric | v1: corpus from CSV, index rebuilt | v2: map-and-swap |",
     "|---|---:|---:|",
-    "| `reload_ms` | 453 | 218 |",
-    "| `coldstart_ms` | 421 | 184 |",
-    "| `rss_mb` | 109.0 | 47.9 |",
-    "| `setup_s` | 2.31 | 1.96 |",
+    "| `reload_ms` | 137.8 | 22.4 |",
+    "| `coldstart_ms` | 120.5 | 27.1 |",
+    "| `rss_mb` | 47.8 | 36.9 |",
+    "| `setup_s` | 1.30 | 1.25 |",
     "",
-    "With `--trace 1` (four pairs), `reload.corpus_ms` fell from 270-345 ms "
-    "to 60-95 ms",
-    "and `reload.total_ms` from 335-455 ms to 160-230 ms. Rerun perfbench to "
-    "refresh these",
-    "figures.",
+    "v2 was lower on `reload_ms` in 10 of 10 pairs (v1 "
+    "interquartile range",
+    "13 ms). Earlier, the streaming `CsvTableReader` had taken the same "
+    "metric from 453",
+    "to 218 ms (seeds 101-110, a different run of the host).",
+    "",
+    "Reading perfbench's `--trace 1` reload decomposition: its "
+    "`reload.corpus_ms` still",
+    "times perfbench's own `ReadTrajectoriesCsv` (~50 ms), a read the "
+    "server no longer",
+    "makes, so `reload.unattributed_ms` reads about -50 ms. The server's "
+    "own split is the",
+    "`model.reload.{world,corpus,model,commit,release}_ms` histograms in "
+    "`stats`: on the",
+    "bench-size world a reload is ~17 ms there (world ~1, corpus 5-7, "
+    "model 9-11,",
+    "release ~2 ms). Rerun perfbench to refresh these figures.",
     "",
 ]
 
@@ -157,28 +171,25 @@ def render(records):
            for r in throughput):
         out.append("`ModelReload_container` is the wall time of one full "
                    "zero-downtime model swap")
-        out.append("(DESIGN.md §15): container map, section CRCs, model "
-                   "restore, corpus re-read,")
-        out.append("atomic commit — the old snapshot serves throughout. "
-                   "It runs on a 300-trip")
-        out.append("lifecycle world, so it understates a full-size reload: "
-                   "every load re-reads the")
-        out.append("serving corpus from `trajectories.csv`, and at the "
-                   "3,000-trip bench world that")
-        out.append("read is a large share of a reload (see \"Reload and "
-                   "cold start at the bench")
-        out.append("world\" below). `PostSwapFirstRequest` is")
+        out.append("(DESIGN.md §15): container map, section CRCs, corpus "
+                   "copy, model restore,")
+        out.append("index adoption, atomic commit — the old snapshot serves "
+                   "throughout. It runs on")
+        out.append("a 300-trip lifecycle world; \"Reload and cold start at "
+                   "the bench world\" below")
+        out.append("gives the full-size figures. `PostSwapFirstRequest` is")
         out.append("the first summarize answered by the freshly published "
                    "snapshot, with every")
         out.append("cache cold: the steady-state cost of a reload as a "
                    "request actually feels it.")
         out.append("`ModelColdStart_container` times nothing-in-memory to a "
                    "maker ready to answer:")
-        out.append("the container (docs/FORMAT.md) is mmapped and its header, "
+        out.append("the container (docs/FORMAT.md) is mmapped, its header, "
                    "section table, and")
-        out.append("CRCs walked — no per-row text parse for the model. A "
-                   "server's cold start also")
-        out.append("reads the serving corpus, which this row leaves out.")
+        out.append("CRCs walked, the serving corpus copied out and the "
+                   "trajectory index adopted")
+        out.append("in place — no text parse anywhere; the container is all "
+                   "a server's cold start reads.")
         out.append("")
 
     if ch is not None:
@@ -241,14 +252,13 @@ def render(records):
                    "nothing-in-memory to a serving-ready")
         out.append("maker loaded from the model container (byte layout in "
                    "docs/FORMAT.md). The")
-        out.append("model load does no per-row text parse — open, mmap, "
-                   "validate the header and section")
-        out.append("table, CRC the sections it materializes — and the road "
-                   "network's hot arrays")
-        out.append("alias the mapping zero-copy. The serving corpus is still "
-                   "text: a server's cold")
-        out.append("start and every reload also read `trajectories.csv`, "
-                   "which this row leaves out.")
+        out.append("model load does no text parse — open, mmap, validate the "
+                   "header and section")
+        out.append("table, CRC the sections, copy the serving corpus out — "
+                   "and the road network's")
+        out.append("hot arrays and the trajectory index alias the mapping "
+                   "zero-copy. The container")
+        out.append("is all a server's cold start and reload read.")
         out.append("")
         out.append("| load path | p50 (ms) | first-load RSS growth (kB) |")
         out.append("|---|---:|---:|")
@@ -373,9 +383,32 @@ def p99_rows(records):
     return rows
 
 
+MACHINE_FIELDS = ("hardware_concurrency", "cpu_model", "cpu_flags")
+
+
+def machine(records):
+    """The identity fields of a run's "machine" record (None when absent)."""
+    for r in records:
+        if r.get("name") == "machine":
+            return tuple(r.get(field) for field in MACHINE_FIELDS)
+    return None
+
+
 def compare(old_path, new_path):
-    old_rows = p99_rows(load(old_path))
-    new_rows = p99_rows(load(new_path))
+    old_records, new_records = load(old_path), load(new_path)
+    # A number from one machine is never compared with one from another:
+    # core count, CPU model and ISA flags all move p99 on their own.
+    old_machine, new_machine = machine(old_records), machine(new_records)
+    if old_machine != new_machine:
+        print("refusing to compare runs from different machines:",
+              file=sys.stderr)
+        for path, m in ((old_path, old_machine), (new_path, new_machine)):
+            print(f"  {path}: " + (", ".join(
+                f"{k}={v!r}" for k, v in zip(MACHINE_FIELDS, m))
+                if m else "no machine record"), file=sys.stderr)
+        return 3
+    old_rows = p99_rows(old_records)
+    new_rows = p99_rows(new_records)
     shared = [k for k in new_rows if k in old_rows]
     if not shared:
         raise SystemExit("no comparable rows between the two runs")
@@ -420,7 +453,8 @@ def main(argv):
                         help="markdown destination (default: docs/)")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="diff p99 between two runs instead of "
-                             "rendering; exits 1 on a >10%% regression")
+                             "rendering; exits 1 on a >10%% regression, "
+                             "3 when the runs' machine records differ")
     args = parser.parse_args(argv[1:])
 
     if args.compare:

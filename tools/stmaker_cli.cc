@@ -10,7 +10,8 @@
 //                         [--json]
 //
 //   # Train once and write the model container — one file carrying the
-//   # mined model and its world, which the server mmaps (docs/FORMAT.md;
+//   # mined model, its world and its serving corpus, which the server
+//   # mmaps (docs/FORMAT.md;
 //   # multi-threaded ingestion, --threads 0 = all cores, the file is
 //   # byte-identical at any thread count):
 //   stmaker_cli train --dir /tmp/city --model /tmp/city/model.stm --threads 4
@@ -176,8 +177,9 @@ int Usage() {
                "the default — builds/loads a contraction hierarchy, dijkstra "
                "disables it; summaries are byte-identical either way)\n"
                "(--model M: the model container file `train` writes — one "
-               "binary file with the mined model and its world, which the "
-               "server mmaps (docs/FORMAT.md); any other file is rejected "
+               "binary file with the mined model, its world and its serving "
+               "corpus, which the server mmaps (docs/FORMAT.md); serve then "
+               "reads nothing from --dir; any other file is rejected "
                "with exit 3. unpack dumps M as human-readable CSV files "
                "P_*.csv, one-way)\n"
                "(--port: serve NDJSON over TCP instead of stdin; 0 picks a "
