@@ -90,7 +90,8 @@ int main() {
     if (!trip.ok()) continue;
     Result<CalibratedTrajectory> cal = calibrator.Calibrate(trip->raw);
     if (!cal.ok()) continue;
-    Result<std::vector<SegmentFeatures>> features = extractor.Extract(*cal);
+    Result<std::vector<SegmentFeatures>> features =
+        extractor.Extract(*cal, extractor.Match(*cal).value());
     if (!features.ok()) continue;
     const size_t n = cal->NumSegments();
     if (n < static_cast<size_t>(kK) + 1) continue;

@@ -345,7 +345,8 @@ int Run(const char* out_path) {
     double t0 = NowMs();
     for (size_t i = 0; i < kMicroIters; ++i) {
       double c0 = NowMs();
-      auto result = extractor.Extract(calibrated[i % calibrated.size()]);
+      const CalibratedTrajectory& cal = calibrated[i % calibrated.size()];
+      auto result = extractor.Extract(cal, extractor.Match(cal).value());
       lat.push_back(NowMs() - c0);
       (void)result;
     }

@@ -78,8 +78,19 @@ FeatureExtractor::FeatureExtractor(const RoadNetwork* network,
   STMAKER_CHECK(registry != nullptr);
 }
 
-Result<std::vector<SegmentFeatures>> FeatureExtractor::Extract(
+Result<std::vector<EdgeId>> FeatureExtractor::Match(
     const CalibratedTrajectory& trajectory, const RequestContext* ctx) const {
+  std::vector<Vec2> positions;
+  positions.reserve(trajectory.raw.samples.size());
+  for (const RawSample& s : trajectory.raw.samples) {
+    positions.push_back(s.pos);
+  }
+  return matcher_.Match(positions, ctx);
+}
+
+Result<std::vector<SegmentFeatures>> FeatureExtractor::Extract(
+    const CalibratedTrajectory& trajectory, std::span<const EdgeId> matched,
+    const RequestContext* ctx) const {
   const size_t num_segments = trajectory.NumSegments();
   if (num_segments == 0) {
     return Status::InvalidArgument(
@@ -87,17 +98,9 @@ Result<std::vector<SegmentFeatures>> FeatureExtractor::Extract(
   }
   STMAKER_RETURN_IF_ERROR(CheckContext(ctx));
 
-  // Whole-trajectory passes, sliced per segment afterwards. The dominant
-  // scratch consumer here is matcher_.Match, which runs inside the thread
-  // arena; the per-segment buffers below stay std::vector (their types are
-  // part of the SegmentContext extension API) but are hoisted and reused.
-  std::vector<Vec2> positions;
-  positions.reserve(trajectory.raw.samples.size());
-  for (const RawSample& s : trajectory.raw.samples) {
-    positions.push_back(s.pos);
-  }
-  STMAKER_ASSIGN_OR_RETURN(std::vector<EdgeId> matched,
-                           matcher_.Match(positions, ctx));
+  // Whole-trajectory passes, sliced per segment afterwards. The per-segment
+  // buffers below stay std::vector (their types are part of the
+  // SegmentContext extension API) but are hoisted and reused.
   std::vector<StayPoint> stays =
       DetectStayPoints(trajectory.raw, options_.stay);
   std::vector<UTurn> uturns = DetectUTurns(trajectory.raw, options_.uturn);

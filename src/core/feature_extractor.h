@@ -4,6 +4,7 @@
 /// \file
 /// Per-segment feature-vector computation over calibrated trajectories.
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,13 +62,19 @@ class FeatureExtractor {
                    const FeatureExtractorOptions& options =
                        FeatureExtractorOptions());
 
-  /// Extracts features for every segment of `trajectory`. The result has
-  /// exactly trajectory.NumSegments() entries.
-  ///
-  /// With a context, map matching and the per-segment loop check the
-  /// deadline/cancel token and abort with kDeadlineExceeded/kCancelled.
+  /// Map-matches every raw fix of `trajectory`: one edge id per fix, -1
+  /// where no edge is in range. With a context the matcher checks the
+  /// deadline/cancel token and aborts with kDeadlineExceeded/kCancelled.
+  Result<std::vector<EdgeId>> Match(const CalibratedTrajectory& trajectory,
+                                    const RequestContext* ctx = nullptr) const;
+
+  /// Extracts features for every segment of `trajectory`, reading the
+  /// routing attributes from `matched` (Match()'s output, or the same
+  /// sequence sealed at train time). The result has exactly
+  /// trajectory.NumSegments() entries. With a context the per-segment loop
+  /// checks the deadline/cancel token.
   Result<std::vector<SegmentFeatures>> Extract(
-      const CalibratedTrajectory& trajectory,
+      const CalibratedTrajectory& trajectory, std::span<const EdgeId> matched,
       const RequestContext* ctx = nullptr) const;
 
  private:

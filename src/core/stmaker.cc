@@ -83,18 +83,6 @@ Result<CalibratedTrajectory> STMaker::Calibrate(
   return calibrator_.Calibrate(raw, ctx);
 }
 
-void IngestReport::Merge(const IngestReport& other) {
-  total += other.total;
-  ingested += other.ingested;
-  quarantined += other.quarantined;
-  sanitize_rejected += other.sanitize_rejected;
-  calibration_failed += other.calibration_failed;
-  extraction_failed += other.extraction_failed;
-  failpoint_injected += other.failpoint_injected;
-  repaired += other.repaired;
-  dropped_points += other.dropped_points;
-}
-
 std::string IngestReport::ToString() const {
   std::string out = StrFormat("%zu/%zu ingested", ingested, total);
   if (quarantined > 0) {
@@ -123,13 +111,27 @@ std::string IngestReport::ToString() const {
 
 namespace {
 
-/// What one ingested trip adds to the model besides its index descriptor:
-/// the feature values of each segment of its symbolic sequence, and its
-/// traveller. Workers fill disjoint slots; the slots are replayed in
-/// corpus order after the parallel phase.
+/// How one offered trajectory left the per-trip pipeline.
+enum class IngestOutcome : uint8_t {
+  kIngested,
+  kFailpointInjected,
+  kSanitizeRejected,
+  kCalibrationFailed,
+  kExtractionFailed,
+};
+
+/// What the per-trip pipeline leaves for the serial pass: the trip's
+/// outcome and repair count, and — when ingested — its traveller and the
+/// feature values of each segment of its symbolic sequence. `runs` is its
+/// sealed match (empty unless it sanitized clean and was matched). Workers
+/// fill disjoint slots; the slots are counted and replayed in corpus order
+/// after the parallel phase.
 struct IngestedTrip {
+  IngestOutcome outcome = IngestOutcome::kIngested;
+  size_t dropped_points = 0;
   int64_t traveler = -1;
   std::vector<std::vector<double>> segment_values;
+  std::vector<MatchRun> runs;
 };
 
 }  // namespace
@@ -137,7 +139,6 @@ struct IngestedTrip {
 Result<IngestReport> STMaker::IngestCorpus(
     const std::vector<RawTrajectory>& history, int num_threads) {
   const int threads = ResolveThreadCount(num_threads);
-  std::vector<IngestReport> reports(static_cast<size_t>(threads));
   // One descriptor slot per offered trajectory — quarantined trips keep an
   // empty slot so descriptor index always equals corpus position. The trip
   // ids continue from the corpus already served (TrainIncremental).
@@ -146,35 +147,28 @@ Result<IngestReport> STMaker::IngestCorpus(
   std::vector<IngestedTrip> slots(history.size());
 
   // The worker body is the per-trajectory pipeline; it writes only the
-  // trip's own slots and its worker's report, never the model. The
-  // calibrator and extractor are shared but thread-safe (const pipelines;
-  // the calibration cache locks). Unusable trajectories are quarantined
-  // into the report instead of failing the batch; one poisoned trip never
-  // takes the corpus down.
+  // trip's own slots, never the model. The calibrator and extractor are
+  // shared but thread-safe (const pipelines; the calibration cache locks).
+  // Unusable trajectories are quarantined instead of failing the batch;
+  // one poisoned trip never takes the corpus down.
   ParallelFor(history.size(), threads,
-              [&](size_t begin, size_t end, int worker) {
-                IngestReport& report = reports[static_cast<size_t>(worker)];
+              [&](size_t begin, size_t end, int /*worker*/) {
                 for (size_t i = begin; i < end; ++i) {
-                  ++report.total;
+                  IngestedTrip& trip = slots[i];
                   bool injected = false;
                   STMAKER_FAILPOINT("train/shard", injected = true);
                   if (injected) {
-                    ++report.quarantined;
-                    ++report.failpoint_injected;
+                    trip.outcome = IngestOutcome::kFailpointInjected;
                     continue;
                   }
                   SanitizeReport sanitize_report;
                   Result<RawTrajectory> sanitized = SanitizeTrajectory(
                       history[i], options_.sanitize, &sanitize_report);
                   if (!sanitized.ok()) {
-                    ++report.quarantined;
-                    ++report.sanitize_rejected;
+                    trip.outcome = IngestOutcome::kSanitizeRejected;
                     continue;
                   }
-                  if (!sanitize_report.clean()) {
-                    ++report.repaired;
-                    report.dropped_points += sanitize_report.dropped_points;
-                  }
+                  trip.dropped_points = sanitize_report.dropped_points;
                   const RawTrajectory& raw = *sanitized;
                   // The spatial half of the trip's index descriptor exists
                   // as soon as sanitization passed — region retrieval
@@ -185,15 +179,21 @@ Result<IngestReport> STMaker::IngestCorpus(
                   Result<CalibratedTrajectory> calibrated =
                       calibrator_.Calibrate(raw);
                   if (!calibrated.ok()) {
-                    ++report.quarantined;
-                    ++report.calibration_failed;
+                    trip.outcome = IngestOutcome::kCalibrationFailed;
                     continue;
                   }
+                  // A null context never fails the match. A clean sanitize
+                  // returned the corpus trip bit for bit, so these are the
+                  // edges of the corpus positions: seal them.
+                  const std::vector<EdgeId> matched =
+                      extractor_->Match(*calibrated).value();
+                  if (sanitize_report.clean()) {
+                    trip.runs = MatchSeal::Encode(matched);
+                  }
                   Result<std::vector<SegmentFeatures>> features =
-                      extractor_->Extract(*calibrated);
+                      extractor_->Extract(*calibrated, matched);
                   if (!features.ok()) {
-                    ++report.quarantined;
-                    ++report.extraction_failed;
+                    trip.outcome = IngestOutcome::kExtractionFailed;
                     continue;
                   }
 
@@ -204,22 +204,43 @@ Result<IngestReport> STMaker::IngestCorpus(
                   TrajectoryIndex::FinishDescriptor(
                       symbolic, NormalizeSegmentFeatures(*features),
                       registry_.size(), &descriptors[i]);
-                  IngestedTrip& trip = slots[i];
                   trip.traveler = raw.traveler;
                   for (size_t s = 0; s + 1 < symbolic.samples.size(); ++s) {
                     trip.segment_values.push_back(
                         std::move((*features)[s].values));
                   }
-                  ++report.ingested;
                 }
               });
 
-  // Decide acceptance from the summed counts *before* touching the member
+  // Count the outcomes and decide acceptance *before* touching the member
   // accumulators, so a rejected batch leaves the model exactly as it was
-  // (TrainIncremental relies on this). Counts are integers, so the sum is
-  // the same at every thread count.
+  // (TrainIncremental relies on this).
   IngestReport report;
-  for (const IngestReport& part : reports) report.Merge(part);
+  report.total = history.size();
+  for (const IngestedTrip& trip : slots) {
+    if (trip.dropped_points > 0) {
+      ++report.repaired;
+      report.dropped_points += trip.dropped_points;
+    }
+    switch (trip.outcome) {
+      case IngestOutcome::kIngested:
+        ++report.ingested;
+        continue;
+      case IngestOutcome::kFailpointInjected:
+        ++report.failpoint_injected;
+        break;
+      case IngestOutcome::kSanitizeRejected:
+        ++report.sanitize_rejected;
+        break;
+      case IngestOutcome::kCalibrationFailed:
+        ++report.calibration_failed;
+        break;
+      case IngestOutcome::kExtractionFailed:
+        ++report.extraction_failed;
+        break;
+    }
+    ++report.quarantined;
+  }
   if (report.total > 0 &&
       report.QuarantineFraction() > options_.max_quarantine_fraction) {
     return Status::FailedPrecondition(StrFormat(
@@ -242,6 +263,7 @@ Result<IngestReport> STMaker::IngestCorpus(
   // container agree bit for bit, global averages included.
   HistoricalFeatureMap batch(registry_.size());
   for (size_t i = 0; i < history.size(); ++i) {
+    match_seal_.Append(slots[i].runs);
     const TripDescriptor& d = descriptors[i];
     if (!d.scored) continue;
     const std::vector<LandmarkId>& sequence = d.sequence;
@@ -260,8 +282,8 @@ Result<IngestReport> STMaker::IngestCorpus(
   corpus_.insert(corpus_.end(), history.begin(), history.end());
   RebuildTrajectoryIndex(descriptors);
   num_trained_ += report.ingested;
-  // One registry update per corpus from the summed report (not per worker),
-  // so the counters are deterministic at every thread count.
+  // One registry update per corpus from the counted report, so the
+  // counters are deterministic at every thread count.
   {
     MetricsRegistry& r = MetricsRegistry::Global();
     static Counter& offered = r.counter("stmaker.train.offered");
@@ -323,6 +345,7 @@ Result<IngestReport> STMaker::TrainWithReport(
   analyzer_.reset();
   trip_index_.reset();
   corpus_.clear();
+  match_seal_ = MatchSeal();
 
   Result<IngestReport> report = IngestCorpus(history, options_.num_threads);
   if (!report.ok()) {
@@ -336,6 +359,7 @@ Result<IngestReport> STMaker::TrainWithReport(
     visit_corpus_ = VisitCorpus();
     trip_index_.reset();
     corpus_.clear();
+    match_seal_ = MatchSeal();
     return Status::FailedPrecondition(
         "training corpus yielded fewer than two calibrated trajectories (" +
         report->ToString() + ")");
@@ -442,12 +466,29 @@ Result<Summary> STMaker::Summarize(const RawTrajectory& raw,
   ServeMetrics& metrics = ServeMetrics::Get();
   metrics.requests.Increment();
   ScopedSpan root_span(TraceOf(ctx), "summarize", &metrics.total_ms);
-  Result<Summary> result = SummarizeStages(raw, options, ctx);
+  Result<Summary> result = SummarizeStages(raw, {}, options, ctx);
+  (result.ok() ? metrics.ok : metrics.errors).Increment();
+  return result;
+}
+
+Result<Summary> STMaker::SummarizeTrip(size_t trip,
+                                       const SummaryOptions& options,
+                                       const RequestContext* ctx) const {
+  if (trip >= corpus_.size()) {
+    return Status::OutOfRange(StrFormat(
+        "trip %zu out of range (corpus has %zu)", trip, corpus_.size()));
+  }
+  ServeMetrics& metrics = ServeMetrics::Get();
+  metrics.requests.Increment();
+  ScopedSpan root_span(TraceOf(ctx), "summarize", &metrics.total_ms);
+  Result<Summary> result = SummarizeStages(
+      corpus_[trip], match_seal_.runs(trip), options, ctx);
   (result.ok() ? metrics.ok : metrics.errors).Increment();
   return result;
 }
 
 Result<Summary> STMaker::SummarizeStages(const RawTrajectory& raw,
+                                         std::span<const MatchRun> sealed,
                                          const SummaryOptions& options,
                                          const RequestContext* ctx) const {
   ServeMetrics& metrics = ServeMetrics::Get();
@@ -464,9 +505,10 @@ Result<Summary> STMaker::SummarizeStages(const RawTrajectory& raw,
   // Step 0: sanitize the input. kRepair mends defective fixes so one NaN
   // or GPS teleport degrades the trip instead of poisoning the summary;
   // clean inputs pass through bit-identical (same calibration cache key).
+  SanitizeReport sanitize_report;
   Result<RawTrajectory> sanitize_result = [&] {
     ScopedSpan span(TraceOf(ctx), "sanitize", &metrics.sanitize_ms);
-    return SanitizeTrajectory(raw, options_.sanitize);
+    return SanitizeTrajectory(raw, options_.sanitize, &sanitize_report);
   }();
   STMAKER_ASSIGN_OR_RETURN(RawTrajectory sanitized,
                            std::move(sanitize_result));
@@ -482,10 +524,26 @@ Result<Summary> STMaker::SummarizeStages(const RawTrajectory& raw,
   const size_t num_segments = symbolic.NumSegments();
   STMAKER_CHECK(num_segments >= 1);
 
-  // Step 2: features per segment, normalized over this trajectory.
-  Result<std::vector<SegmentFeatures>> extract_result = [&] {
+  // Step 2: features per segment, normalized over this trajectory. The
+  // routing features need the trip's map-matched edges: a sealed corpus
+  // trip whose sanitize passed it through unchanged already has them (the
+  // runs then cover exactly these fixes); anything else is matched live.
+  Result<std::vector<SegmentFeatures>> extract_result =
+      [&]() -> Result<std::vector<SegmentFeatures>> {
     ScopedSpan span(TraceOf(ctx), "extract", &metrics.extract_ms);
-    return extractor_->Extract(calibrated, ctx);
+    std::vector<EdgeId> matched;
+    if (!sealed.empty() && sanitize_report.clean() &&
+        sealed.back().end == calibrated.raw.samples.size()) {
+      // Registered here: how many summaries read a sealed match instead of
+      // running the matcher (roadnet.map_match.calls counts the rest).
+      static Counter& sealed_matches =
+          MetricsRegistry::Global().counter("roadnet.map_match.sealed");
+      sealed_matches.Increment();
+      MatchSeal::Expand(sealed, &matched);
+    } else {
+      STMAKER_ASSIGN_OR_RETURN(matched, extractor_->Match(calibrated, ctx));
+    }
+    return extractor_->Extract(calibrated, matched, ctx);
   }();
   STMAKER_ASSIGN_OR_RETURN(std::vector<SegmentFeatures> features,
                            std::move(extract_result));

@@ -20,6 +20,7 @@
 #include "core/feature_extractor.h"
 #include "core/historical_feature_map.h"
 #include "core/irregularity.h"
+#include "core/match_seal.h"
 #include "core/partitioner.h"
 #include "core/popular_route.h"
 #include "core/summary.h"
@@ -99,8 +100,9 @@ struct BatchOptions {
 
 /// \brief Outcome of one corpus ingestion (Train / TrainIncremental):
 /// how many trajectories made it into the model and why the rest were
-/// quarantined. Per-worker counts are summed (integers, so the report is
-/// identical at every thread count).
+/// quarantined. Each trip's outcome is recorded in its own slot and the
+/// slots are counted in corpus order, so the report is identical at every
+/// thread count.
 struct IngestReport {
   size_t total = 0;        ///< Trajectories offered.
   size_t ingested = 0;     ///< Trajectories that entered the model.
@@ -119,7 +121,6 @@ struct IngestReport {
                       : static_cast<double>(quarantined) /
                             static_cast<double>(total);
   }
-  void Merge(const IngestReport& other);
   /// "380/400 ingested, 20 quarantined (calibration: 12, sanitize: 8)".
   std::string ToString() const;
 };
@@ -190,6 +191,12 @@ class STMaker {
   /// container and LoadModelContainer restores it.
   std::span<const RawTrajectory> corpus() const { return corpus_; }
 
+  /// The map-matched edges sealed per corpus trip (one slot per corpus()
+  /// position once trained). Train and TrainIncremental seal every trip
+  /// that sanitized clean, SaveModelContainer writes the seal and
+  /// LoadModelContainer serves it in place from the mapping.
+  const MatchSeal& match_seal() const { return match_seal_; }
+
   /// Summarizes one raw trajectory (requires Train() first). The input is
   /// sanitized with options().sanitize first (kRepair mends defective
   /// fixes; kStrict rejects the request with kInvalidArgument). Features
@@ -211,6 +218,17 @@ class STMaker {
   Result<Summary> Summarize(const RawTrajectory& raw,
                             const SummaryOptions& options = SummaryOptions(),
                             const RequestContext* ctx = nullptr) const;
+
+  /// Summarizes corpus trip `trip` (corpus()[trip]): exactly what
+  /// Summarize(corpus()[trip], options, ctx) returns, byte for byte. When
+  /// the trip is sealed (match_seal()) and its serve-time sanitize report
+  /// is clean, the extract stage reads the edges matched at train time
+  /// instead of map-matching the trip again (counted in
+  /// `roadnet.map_match.sealed`); otherwise it matches live. An
+  /// out-of-range trip fails with kOutOfRange.
+  Result<Summary> SummarizeTrip(
+      size_t trip, const SummaryOptions& options = SummaryOptions(),
+      const RequestContext* ctx = nullptr) const;
 
   /// Summarizes a batch on `num_threads` workers (0 = options().num_threads
   /// resolved against hardware concurrency). Element i of the result is
@@ -378,20 +396,25 @@ class STMaker {
   /// request counters and the root span — the split keeps "count every
   /// outcome exactly once" trivially correct across the many early
   /// returns.
+  /// `sealed` holds the trip's train-time match runs (empty for a live
+  /// match); it replaces MapMatcher::Match only when the sanitize report
+  /// is clean and the runs cover exactly the sanitized fixes.
   Result<Summary> SummarizeStages(const RawTrajectory& raw,
+                                  std::span<const MatchRun> sealed,
                                   const SummaryOptions& options,
                                   const RequestContext* ctx) const;
 
   /// Sanitizes, calibrates, and mines every trajectory of `history` into
-  /// the current accumulators (miner, feature map, visit corpus) using
-  /// `num_threads` workers. Workers run the per-trip pipeline and record
-  /// each trip's contribution in that trip's own slot; the slots are then
-  /// replayed into the accumulators serially in corpus order, so the model
-  /// is the serial one at every thread count by construction (DESIGN.md
-  /// §8). Unusable trajectories are quarantined into the report. When the
-  /// quarantine fraction exceeds options().max_quarantine_fraction the
-  /// error is returned *before* the replay, leaving the member
-  /// accumulators untouched.
+  /// the current accumulators (miner, feature map, visit corpus, match
+  /// seal) using `num_threads` workers. Workers run the per-trip pipeline
+  /// and record each trip's outcome and contribution in that trip's own
+  /// slot; the slots are then counted and replayed into the accumulators
+  /// serially in corpus order, so the model and the report are the serial
+  /// ones at every thread count by construction (DESIGN.md §8). Unusable
+  /// trajectories are quarantined into the report. When the quarantine
+  /// fraction exceeds options().max_quarantine_fraction the error is
+  /// returned *before* the replay, leaving the member accumulators
+  /// untouched.
   Result<IngestReport> IngestCorpus(const std::vector<RawTrajectory>& history,
                                     int num_threads);
 
@@ -433,6 +456,9 @@ class STMaker {
   size_t num_trained_ = 0;
   /// The serving corpus (see corpus()).
   std::vector<RawTrajectory> corpus_;
+  /// One slot per corpus_ trip whenever the maker is trained (see
+  /// match_seal()).
+  MatchSeal match_seal_;
   /// The spatio-temporal trajectory index over the ingested corpus (null =
   /// scan fallback). Built by Train/TrainIncremental, restored by
   /// LoadModelContainer, dropped with the rest of the model on retrain.

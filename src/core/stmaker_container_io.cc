@@ -75,6 +75,9 @@ static_assert(offsetof(FrozenTrip, labels_count) ==
 static_assert(sizeof(CellBucket) == sizeof(TripCellRecord));
 static_assert(offsetof(CellBucket, bucket) == offsetof(TripCellRecord, bucket));
 static_assert(sizeof(LandmarkId) == sizeof(int64_t));
+static_assert(sizeof(MatchRun) == sizeof(MatchRunRecord));
+static_assert(offsetof(MatchRun, edge) == offsetof(MatchRunRecord, edge));
+static_assert(offsetof(MatchRun, end) == offsetof(MatchRunRecord, end));
 
 /// Record-layout version written into every section entry.
 constexpr uint32_t kSectionVersion = 1;
@@ -135,6 +138,9 @@ const char* SectionName(SectionType type) {
     case SectionType::kLabelKeys: return "label-keys";
     case SectionType::kLabelOffsets: return "label-offsets";
     case SectionType::kLabelIds: return "label-ids";
+    case SectionType::kMatchMeta: return "match-meta";
+    case SectionType::kMatchOffsets: return "match-offsets";
+    case SectionType::kMatchRuns: return "match-runs";
   }
   return "unknown";
 }
@@ -568,6 +574,26 @@ Status STMaker::SaveModelContainer(const std::string& path) const {
     writer.AddSection(SectionType::kLabelIds, kSectionVersion,
                       sizeof(uint32_t), BytesOf(a.label.ids));
   }
+  {  // kMatchMeta + kMatchOffsets + kMatchRuns: the sealed matches, one
+     // offsets slot per corpus trip, under the matcher options that made
+     // them.
+    const MapMatchOptions& mo = options_.extraction.matcher;
+    MatchMetaRecord meta{};
+    meta.candidate_radius_m = mo.candidate_radius_m;
+    meta.gps_sigma_m = mo.gps_sigma_m;
+    meta.adjacency_cost = mo.adjacency_cost;
+    meta.jump_cost = mo.jump_cost;
+    meta.max_candidates = mo.max_candidates;
+    meta.num_trips = match_seal_.num_trips();
+    std::string payload;
+    AppendPod(&payload, meta);
+    writer.AddSection(SectionType::kMatchMeta, kSectionVersion,
+                      sizeof(MatchMetaRecord), std::move(payload));
+    writer.AddSection(SectionType::kMatchOffsets, kSectionVersion,
+                      sizeof(uint32_t), BytesOf(match_seal_.offsets()));
+    writer.AddSection(SectionType::kMatchRuns, kSectionVersion,
+                      sizeof(MatchRunRecord), BytesOf(match_seal_.all_runs()));
+  }
 
   return writer.Finish(path);
 }
@@ -738,6 +764,7 @@ Status STMaker::LoadModelContainer(const MappedContainer& c,
   num_trained_ = 0;
   trip_index_.reset();
   corpus_.clear();
+  match_seal_ = MatchSeal();
   DropRoadHierarchy();
 
   STMAKER_ASSIGN_OR_RETURN(ContainerMetaRecord meta, ReadMeta(c));
@@ -929,6 +956,63 @@ Status STMaker::LoadModelContainer(const MappedContainer& c,
     }
   }
 
+  // Sealed matches (advisory), served in place like the index. Damage,
+  // skew, or matcher options other than this maker's cost only the
+  // shortcut: every summarize then matches live. A file without the
+  // sections seals nothing.
+  MatchSeal seal;
+  if (c.Find(SectionType::kMatchMeta) != nullptr) {
+    // Registered here: model loads whose sealed matches were unusable.
+    static Counter& seal_failures = MetricsRegistry::Global().counter(
+        "roadnet.map_match.seal_load_failures");
+    Status loaded = [&]() -> Status {
+      STMAKER_ASSIGN_OR_RETURN(const SectionEntry* entry,
+                               AdvisorySection(c, SectionType::kMatchMeta));
+      STMAKER_ASSIGN_OR_RETURN(auto records,
+                               c.Records<MatchMetaRecord>(*entry));
+      if (records.size() != 1) {
+        return CountMismatch(c, SectionType::kMatchMeta, records.size(), 1);
+      }
+      const MatchMetaRecord& m = records[0];
+      const MapMatchOptions& mo = options_.extraction.matcher;
+      if (m.candidate_radius_m != mo.candidate_radius_m ||
+          m.gps_sigma_m != mo.gps_sigma_m ||
+          m.adjacency_cost != mo.adjacency_cost ||
+          m.jump_cost != mo.jump_cost ||
+          m.max_candidates != mo.max_candidates) {
+        return Status::FailedPrecondition(
+            c.path() + ": the matches were sealed under other map-matching "
+                       "options than this maker's");
+      }
+      if (m.num_trips != corpus.size()) {
+        return CountMismatch(c, SectionType::kMatchMeta, m.num_trips,
+                             corpus.size());
+      }
+      STMAKER_ASSIGN_OR_RETURN(
+          auto offsets, MappedArray<uint32_t>(c, SectionType::kMatchOffsets));
+      STMAKER_ASSIGN_OR_RETURN(auto runs,
+                               (MappedArray<MatchRun, MatchRunRecord>(
+                                   c, SectionType::kMatchRuns)));
+      STMAKER_ASSIGN_OR_RETURN(
+          seal, MatchSeal::Adopt(offsets, runs, corpus, network_->NumEdges(),
+                                 c.shared_from_this()));
+      return Status::OK();
+    }();
+    if (!loaded.ok()) {
+      std::fprintf(stderr,
+                   "warning: sealed map matches unusable, summaries match "
+                   "live: %s\n",
+                   loaded.ToString().c_str());
+      seal_failures.Increment();
+      seal = MatchSeal();
+    }
+  }
+  // Keep one slot per corpus trip: a missing or unusable seal leaves every
+  // trip unsealed (and TrainIncremental appending after them).
+  if (seal.num_trips() != corpus.size()) {
+    for (size_t i = 0; i < corpus.size(); ++i) seal.Append({});
+  }
+
   // Routing hierarchy (advisory). Any failure warns and serves Dijkstra.
   std::unique_ptr<ContractionHierarchy> hierarchy;
   if (meta.has_hierarchy != 0) {
@@ -966,6 +1050,7 @@ Status STMaker::LoadModelContainer(const MappedContainer& c,
   // --- Commit. ---------------------------------------------------------------
   num_trained_ = static_cast<size_t>(meta.num_trained);
   corpus_ = std::move(corpus);
+  match_seal_ = std::move(seal);
   trip_index_ = std::move(trip_index);
   if (hierarchy != nullptr) {
     road_hierarchy_ = std::move(hierarchy);

@@ -58,8 +58,10 @@ Result<TripDescriptor> STMaker::DescribeTrip(const RawTrajectory& raw,
       TripDescriptor::kNoTrip, sanitized, options_.index);
   STMAKER_ASSIGN_OR_RETURN(CalibratedTrajectory calibrated,
                            calibrator_.Calibrate(sanitized, ctx));
+  STMAKER_ASSIGN_OR_RETURN(std::vector<EdgeId> matched,
+                           extractor_->Match(calibrated, ctx));
   STMAKER_ASSIGN_OR_RETURN(std::vector<SegmentFeatures> features,
-                           extractor_->Extract(calibrated, ctx));
+                           extractor_->Extract(calibrated, matched, ctx));
   TrajectoryIndex::FinishDescriptor(calibrated.symbolic,
                                     NormalizeSegmentFeatures(features),
                                     registry_.size(), &descriptor);

@@ -70,6 +70,9 @@ enum class SectionType : uint32_t {
   kLabelKeys = 30,        ///< int64_t: (*, label, *) keys, ascending.
   kLabelOffsets = 31,     ///< uint32_t: kLabelKeys count + 1 list starts.
   kLabelIds = 32,         ///< uint32_t: (*, label, *) trip ids.
+  kMatchMeta = 33,        ///< One MatchMetaRecord: matcher options, trips.
+  kMatchOffsets = 34,     ///< uint32_t: trips + 1 kMatchRuns slice starts.
+  kMatchRuns = 35,        ///< MatchRunRecord: all trips' matched-edge runs.
 };
 
 /// The container format version, written and accepted (FORMAT.md §6).
@@ -256,6 +259,28 @@ struct CorpusSampleRecord {
 };
 static_assert(sizeof(CorpusSampleRecord) == 24,
               "corpus sample layout is frozen");
+
+/// kMatchMeta payload: the MapMatchOptions the sealed matches were made
+/// under, and the number of corpus trips kMatchOffsets covers. A reader
+/// whose matcher options differ ignores the seal.
+struct MatchMetaRecord {
+  double candidate_radius_m;
+  double gps_sigma_m;
+  double adjacency_cost;
+  double jump_cost;
+  int32_t max_candidates;
+  uint32_t pad;        ///< Zero.
+  uint64_t num_trips;  ///< Corpus trips; kMatchOffsets holds one more entry.
+};
+static_assert(sizeof(MatchMetaRecord) == 48, "match meta layout is frozen");
+
+/// kMatchRuns record: a MatchRun (layout matches exactly, so the section
+/// is served in place). Fixes [previous end, end) of a trip matched `edge`.
+struct MatchRunRecord {
+  int32_t edge;  ///< Edge id, -1 when no edge was in range.
+  uint32_t end;  ///< Exclusive fix index within the trip.
+};
+static_assert(sizeof(MatchRunRecord) == 8, "match run layout is frozen");
 
 /// kChArcs record: a ContractionHierarchy::Arc (layout matches exactly, so
 /// the array round-trips by memcpy).

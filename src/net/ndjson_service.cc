@@ -448,7 +448,7 @@ void NdjsonService::HandleSummarize(long id, PinnedModel model,
   bool admitted = pool_.TrySubmit(
       [this, id, trip, options, ctx, token, trace, respond, model] {
         Result<Summary> summary =
-            model->maker->Summarize(model->trajectories[trip], options, &ctx);
+            model->maker->SummarizeTrip(trip, options, &ctx);
         if (summary.ok()) {
           respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", "
                             "\"partitions\": %zu, \"text\": \"%s\", "

@@ -49,6 +49,30 @@ OUT2="$("$CLI" summarize --dir "$DIR" --trip 3 --model "$DIR/model.stm" --k 2)"
 echo "$OUT2"
 [[ "$OUT2" == "The car started from"* ]] || { echo "bad summary"; exit 1; }
 
+echo "== summarize --model reads no dataset CSV =="
+# The container carries the world and the serving corpus: with only the
+# model file present, --trip indexes its sealed corpus and every output
+# format is byte-identical to the run above whose --dir held the CSVs.
+SOLO="$DIR/solo"
+mkdir -p "$SOLO"
+cp "$DIR/model.stm" "$SOLO/model.stm"
+for fmt in "" --json --geojson; do
+  WITH="$("$CLI" summarize --dir "$DIR" --trip 3 --model "$DIR/model.stm" \
+    --k 2 $fmt)"
+  WITHOUT="$("$CLI" summarize --trip 3 --model "$SOLO/model.stm" --k 2 $fmt)"
+  [[ "$WITHOUT" == "$WITH" ]] || {
+    echo "summarize --model $fmt differs without the dataset CSVs"; exit 1; }
+done
+SOLO_OUT="$("$CLI" summarize --trip 3 --model "$SOLO/model.stm" --k 2)"
+[[ "$SOLO_OUT" == "$OUT2" ]] || {
+  echo "summarize --model without CSVs differs from the first run"; exit 1; }
+rc=0; "$CLI" summarize --trip 150 --model "$SOLO/model.stm" 2>/dev/null || rc=$?
+[[ $rc -eq 5 ]] || {
+  echo "model trip out of range: want exit 5, got $rc"; exit 1; }
+rc=0; "$CLI" summarize --trip 3 2>/dev/null || rc=$?
+[[ $rc -eq 2 ]] || {
+  echo "summarize without --dir or --model: want exit 2, got $rc"; exit 1; }
+
 echo "== summarize --threads matches serial =="
 OUT3="$("$CLI" summarize --dir "$DIR" --trip 3 --threads 4)"
 [[ "$OUT3" == "$OUT1" ]] || { echo "--threads changed the summary"; exit 1; }

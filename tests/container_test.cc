@@ -617,6 +617,81 @@ TEST_F(ContainerTest, HostileIndexSectionsFallBackToTheScan) {
       });
 }
 
+/// Loads a crafted container whose sealed-match sections are
+/// checksum-valid but inconsistent: the model must load with nothing
+/// sealed (counted in `roadnet.map_match.seal_load_failures`) and serve
+/// corpus trips through the live matcher, with the live answers.
+void ExpectHostileSealMatchesLive(const ContainerWorld& cw,
+                                  const std::string& name, SectionType type,
+                                  const std::function<void(char*, size_t)>&
+                                      mutate) {
+  SCOPED_TRACE(name);
+  Result<std::string> bytes = ReadFileToString(cw.container_path);
+  ASSERT_TRUE(bytes.ok());
+  PatchSection(&*bytes, type, mutate);
+  const std::string path = TempPrefix(name);
+  ASSERT_TRUE(WriteFileToPath(path, *bytes).ok());
+
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  Counter& failures = registry.counter("roadnet.map_match.seal_load_failures");
+  Counter& sealed = registry.counter("roadnet.map_match.sealed");
+  const uint64_t failures_before = failures.value();
+  auto loaded = LoadContainerModel(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const STMaker& maker = *(*loaded)->maker;
+  EXPECT_EQ(failures.value(), failures_before + 1);
+  EXPECT_EQ(maker.match_seal().num_trips(), maker.corpus().size());
+  EXPECT_TRUE(maker.match_seal().all_runs().empty());
+  EXPECT_TRUE(maker.has_trajectory_index());
+
+  const uint64_t sealed_before = sealed.value();
+  for (size_t trip : {size_t{0}, size_t{1}, size_t{31}}) {
+    Result<Summary> served = maker.SummarizeTrip(trip);
+    Result<Summary> live = cw.maker->Summarize(cw.raws[trip]);
+    ASSERT_TRUE(served.ok() && live.ok()) << "trip " << trip;
+    EXPECT_EQ(served->text, live->text);
+  }
+  EXPECT_EQ(sealed.value(), sealed_before);
+}
+
+TEST_F(ContainerTest, HostileSealedMatchesServeLive) {
+  // Trip 0's runs are the first records of kMatchRuns (offsets[0] == 0).
+  const size_t trip0_runs = cw_.maker->match_seal().runs(0).size();
+  ASSERT_GE(trip0_runs, 2u);
+  ExpectHostileSealMatchesLive(
+      cw_, "hostile_seal_end_past_trip.stm", SectionType::kMatchRuns,
+      [trip0_runs](char* p, size_t) {
+        MatchRunRecord last = Get<MatchRunRecord>(p, trip0_runs - 1);
+        last.end += 1;
+        Put<MatchRunRecord>(p, trip0_runs - 1, last);
+      });
+  ExpectHostileSealMatchesLive(
+      cw_, "hostile_seal_ends_descend.stm", SectionType::kMatchRuns,
+      [](char* p, size_t) {
+        MatchRunRecord first = Get<MatchRunRecord>(p, 0);
+        first.end = Get<MatchRunRecord>(p, 1).end;
+        Put<MatchRunRecord>(p, 0, first);
+      });
+  const int32_t num_edges = static_cast<int32_t>(cw_.network->NumEdges());
+  ExpectHostileSealMatchesLive(
+      cw_, "hostile_seal_edge.stm", SectionType::kMatchRuns,
+      [num_edges](char* p, size_t) {
+        MatchRunRecord first = Get<MatchRunRecord>(p, 0);
+        first.edge = num_edges;
+        Put<MatchRunRecord>(p, 0, first);
+      });
+  ExpectHostileSealMatchesLive(
+      cw_, "hostile_seal_offsets.stm", SectionType::kMatchOffsets,
+      [](char* p, size_t) { Put<uint32_t>(p, 1, 0x7fffffffu); });
+  ExpectHostileSealMatchesLive(
+      cw_, "hostile_seal_options.stm", SectionType::kMatchMeta,
+      [](char* p, size_t) {
+        MatchMetaRecord meta = Get<MatchMetaRecord>(p, 0);
+        meta.jump_cost += 1;
+        Put<MatchMetaRecord>(p, 0, meta);
+      });
+}
+
 TEST_F(ContainerTest, HostileCorpusFailsTheLoadAndTheReloadRollsBack) {
   struct Case {
     const char* name;

@@ -101,6 +101,14 @@ TEST(FeatureRegistryTest, RegisterValidation) {
 // FeatureExtractor on generated trips
 // --------------------------------------------------------------------------
 
+/// Match then Extract: the live pipeline's extract stage.
+Result<std::vector<SegmentFeatures>> MatchAndExtract(
+    const FeatureExtractor& extractor, const CalibratedTrajectory& calibrated) {
+  STMAKER_ASSIGN_OR_RETURN(std::vector<EdgeId> matched,
+                           extractor.Match(calibrated));
+  return extractor.Extract(calibrated, matched);
+}
+
 class FeatureExtractorTest : public ::testing::Test {
  protected:
   FeatureExtractorTest()
@@ -119,7 +127,7 @@ class FeatureExtractorTest : public ::testing::Test {
 TEST_F(FeatureExtractorTest, VectorsHaveRegistryDimension) {
   auto calibrated = calibrator_.Calibrate(world_.history[0].raw);
   ASSERT_TRUE(calibrated.ok());
-  auto features = extractor_.Extract(*calibrated);
+  auto features = MatchAndExtract(extractor_, *calibrated);
   ASSERT_TRUE(features.ok());
   ASSERT_EQ(features->size(), calibrated->NumSegments());
   for (const SegmentFeatures& sf : *features) {
@@ -131,7 +139,7 @@ TEST_F(FeatureExtractorTest, ValuesAreConsistentWithContext) {
   for (int t = 0; t < 20; ++t) {
     auto calibrated = calibrator_.Calibrate(world_.history[t].raw);
     if (!calibrated.ok()) continue;
-    auto features = extractor_.Extract(*calibrated);
+    auto features = MatchAndExtract(extractor_, *calibrated);
     ASSERT_TRUE(features.ok());
     for (const SegmentFeatures& sf : *features) {
       // Feature vector mirrors the descriptive context fields.
@@ -164,7 +172,7 @@ TEST_F(FeatureExtractorTest, RoutingAttributesMatchGroundTruthRoute) {
     const GeneratedTrip& trip = world_.history[t];
     auto calibrated = calibrator_.Calibrate(trip.raw);
     if (!calibrated.ok()) continue;
-    auto features = extractor_.Extract(*calibrated);
+    auto features = MatchAndExtract(extractor_, *calibrated);
     ASSERT_TRUE(features.ok());
     std::set<RoadGrade> route_grades;
     for (EdgeId e : trip.route_edges) route_grades.insert(net.edge(e).grade);
@@ -184,7 +192,7 @@ TEST_F(FeatureExtractorTest, InjectedUTurnAppearsInSomeSegment) {
     if (trip.events.num_uturns == 0) continue;
     auto calibrated = calibrator_.Calibrate(trip.raw);
     if (!calibrated.ok()) continue;
-    auto features = extractor_.Extract(*calibrated);
+    auto features = MatchAndExtract(extractor_, *calibrated);
     if (!features.ok()) continue;
     ++with_uturn;
     int total = 0;
@@ -215,7 +223,7 @@ TEST_F(FeatureExtractorTest, CustomExtractorReceivesContext) {
                              &reg);
   auto calibrated = calibrator_.Calibrate(world_.history[0].raw);
   ASSERT_TRUE(calibrated.ok());
-  auto features = extractor.Extract(*calibrated);
+  auto features = MatchAndExtract(extractor, *calibrated);
   ASSERT_TRUE(features.ok());
   for (const SegmentFeatures& sf : *features) {
     ASSERT_EQ(sf.values.size(), kNumBuiltInFeatures + 1);

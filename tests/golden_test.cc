@@ -149,6 +149,30 @@ TEST(GoldenTest, DefaultMakerCases) {
   }
 }
 
+TEST(GoldenTest, SealedCorpusTripsOnAContainerLoadedMaker) {
+  // The serving path: a model loaded from its container summarizes corpus
+  // trips by index, reading the sealed train-time matches from the
+  // mapping instead of map-matching again. It must reproduce every
+  // default-maker golden byte for byte. (Runs before any test that
+  // retrains the shared landmarks on a smaller corpus: the container
+  // stores their significances.)
+  if (UpdateGoldenRequested()) GTEST_SKIP() << "regeneration run";
+  const TestWorld& world = GetTestWorld();
+  const std::string path = ::testing::TempDir() + "/golden_sealed.stm";
+  ASSERT_TRUE(world.maker->SaveModelContainer(path).ok());
+  auto loaded = ::stmaker::testing::LoadContainerModel(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const STMaker& maker = *(*loaded)->maker;
+  FeatureRegistry registry = FeatureRegistry::BuiltIn();
+  for (const GoldenCase& c : DefaultMakerCases()) {
+    SCOPED_TRACE(c.name);
+    ASSERT_FALSE(maker.match_seal().runs(c.trip).empty());
+    Result<Summary> summary = maker.SummarizeTrip(c.trip, c.options);
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    CheckGolden(c.name, SummaryToJson(*summary, registry) + "\n");
+  }
+}
+
 // --------------------------------------------------------------------------
 // Sanitize coverage: a defective input under repair, and a strict maker.
 // --------------------------------------------------------------------------

@@ -8,6 +8,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "common/context.h"
@@ -17,6 +19,7 @@
 #include "scenario_dsl.h"
 #include "test_world.h"
 #include "traj/calibration.h"
+#include "traj/sanitize.h"
 #include "traj/stay_point.h"
 
 namespace stmaker {
@@ -25,6 +28,71 @@ namespace {
 using ::stmaker::testing::GetTestWorld;
 using ::stmaker::testing::LoadContainerModel;
 using ::stmaker::testing::TestWorld;
+
+// --------------------------------------------------------------------------
+// A clean sanitize is the identity, bit for bit. Serving a corpus trip's
+// sealed train-time match relies on it: the sealed edges belong to the
+// corpus positions, so the serve-time positions must be exactly those.
+// --------------------------------------------------------------------------
+
+TEST(SanitizePropertyTest, CleanReportReturnsTheInputBitwise) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const TestWorld& world = GetTestWorld();
+  Random rng(20260);
+  size_t clean = 0;
+  for (int round = 0; round < 600; ++round) {
+    RawTrajectory raw;
+    if (round < 200) {
+      raw = world.history[static_cast<size_t>(round)].raw;
+    } else {
+      // A plausible random walk, starting from signed zeros, subnormals,
+      // huge-but-legal coordinates or an ordinary point.
+      const double tiny = std::numeric_limits<double>::denorm_min();
+      const Vec2 starts[] = {
+          {-0.0, -0.0},
+          {tiny, -tiny},
+          {9.9e6, -9.9e6},
+          {rng.Uniform(-5000, 5000), rng.Uniform(-5000, 5000)}};
+      raw.traveler = rng.UniformInt(-1, 50);
+      Vec2 pos = starts[rng.UniformInt(uint64_t{4})];
+      double t = rng.Uniform(0, 86400);
+      const size_t n = 1 + rng.UniformInt(uint64_t{60});
+      for (size_t i = 0; i < n; ++i) {
+        raw.samples.push_back(RawSample{pos, t});
+        pos.x -= rng.Uniform(0, 40);
+        pos.y += rng.Uniform(0, 40);
+        t += rng.Uniform(0.5, 10);
+      }
+    }
+    // Some rounds carry a defect a sanitizer must drop.
+    if (rng.Bernoulli(0.3) && raw.samples.size() > 2) {
+      const size_t at = rng.UniformInt(raw.samples.size());
+      switch (rng.UniformInt(uint64_t{3})) {
+        case 0: raw.samples[at].pos.y = kNan; break;
+        case 1: raw.samples[at].pos.x = 5.0e7; break;
+        default: raw.samples.insert(raw.samples.begin() + at,
+                                    raw.samples[at]);
+      }
+    }
+    for (SanitizePolicy policy :
+         {SanitizePolicy::kRepair, SanitizePolicy::kStrict}) {
+      SanitizeOptions options;
+      options.policy = policy;
+      SanitizeReport report;
+      Result<RawTrajectory> out = SanitizeTrajectory(raw, options, &report);
+      if (!report.clean()) continue;
+      ++clean;
+      ASSERT_TRUE(out.ok()) << "round " << round;
+      EXPECT_EQ(out->traveler, raw.traveler);
+      ASSERT_EQ(out->samples.size(), raw.samples.size()) << "round " << round;
+      EXPECT_EQ(std::memcmp(out->samples.data(), raw.samples.data(),
+                            raw.samples.size() * sizeof(RawSample)),
+                0)
+          << "round " << round;
+    }
+  }
+  EXPECT_GT(clean, 600u);  // most rounds are clean under both policies
+}
 
 // --------------------------------------------------------------------------
 // Edit distance vs. the paper's recursive definition (Sec. V-A).

@@ -961,7 +961,7 @@ TEST_F(FailpointTest, StalledRouteSearchHonorsTheDeadline) {
 // a flipped byte in it costs.
 // --------------------------------------------------------------------------
 
-enum class Damage { kFailsLoad, kLosesHierarchy, kLosesIndex };
+enum class Damage { kFailsLoad, kLosesHierarchy, kLosesIndex, kLosesSeal };
 
 struct SectionPolicy {
   SectionType type;
@@ -969,8 +969,8 @@ struct SectionPolicy {
 };
 
 // The world, the model and the serving corpus are required; the routing
-// hierarchy and the trajectory index (its descriptors and postings) are
-// advisory accelerators.
+// hierarchy, the trajectory index (its descriptors and postings) and the
+// sealed map matches are advisory accelerators.
 constexpr SectionPolicy kSectionPolicies[] = {
     {SectionType::kMeta, Damage::kFailsLoad},
     {SectionType::kFeatureNames, Damage::kFailsLoad},
@@ -1004,6 +1004,9 @@ constexpr SectionPolicy kSectionPolicies[] = {
     {SectionType::kLabelKeys, Damage::kLosesIndex},
     {SectionType::kLabelOffsets, Damage::kLosesIndex},
     {SectionType::kLabelIds, Damage::kLosesIndex},
+    {SectionType::kMatchMeta, Damage::kLosesSeal},
+    {SectionType::kMatchOffsets, Damage::kLosesSeal},
+    {SectionType::kMatchRuns, Damage::kLosesSeal},
 };
 
 TEST(ContainerDamageTest, EverySectionHasItsDamagePolicy) {
@@ -1029,12 +1032,15 @@ TEST(ContainerDamageTest, EverySectionHasItsDamagePolicy) {
   std::sort(written.begin(), written.end());
   EXPECT_EQ(written, tabled);
 
+  Counter& seal_failures = MetricsRegistry::Global().counter(
+      "roadnet.map_match.seal_load_failures");
   for (const SectionPolicy& p : kSectionPolicies) {
     const uint32_t type = static_cast<uint32_t>(p.type);
     SCOPED_TRACE("section type " + std::to_string(type));
     const std::string bad =
         TempPrefix("damage_table_" + std::to_string(type) + ".stm");
     ASSERT_TRUE(FlipSectionByte(good, bad, p.type).ok());
+    const uint64_t seal_failures_before = seal_failures.value();
     auto loaded = LoadContainerModel(bad);
     switch (p.damage) {
       case Damage::kFailsLoad:
@@ -1049,6 +1055,13 @@ TEST(ContainerDamageTest, EverySectionHasItsDamagePolicy) {
         ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
         EXPECT_TRUE((*loaded)->maker->has_road_hierarchy());
         EXPECT_FALSE((*loaded)->maker->has_trajectory_index());
+        break;
+      case Damage::kLosesSeal:
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        EXPECT_TRUE((*loaded)->maker->has_road_hierarchy());
+        EXPECT_TRUE((*loaded)->maker->has_trajectory_index());
+        EXPECT_TRUE((*loaded)->maker->match_seal().all_runs().empty());
+        EXPECT_EQ(seal_failures.value(), seal_failures_before + 1);
         break;
     }
   }

@@ -2,8 +2,15 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "common/metrics.h"
+#include "common/strings.h"
 #include "core/stmaker.h"
+#include "io/summary_json.h"
+#include "landmark/poi_generator.h"
 #include "test_world.h"
 
 namespace stmaker {
@@ -345,6 +352,113 @@ TEST_F(STMakerTest, FeatureWeightShiftsSelection) {
   double high = frequency(4.0);
   EXPECT_TRUE(maker.registry().SetWeight("speed", 1.0).ok());
   EXPECT_GE(high, low);
+}
+
+// --------------------------------------------------------------------------
+// Sealed matches: SummarizeTrip vs the live Summarize
+// --------------------------------------------------------------------------
+
+/// Every corpus trip of `maker`: SummarizeTrip(i) must render the same JSON
+/// (or fail the same way) as the live Summarize(corpus()[i]), and exactly
+/// the sealed trips must have skipped the matcher.
+void ExpectSealedEqualsLive(const STMaker& maker) {
+  Counter& sealed_uses =
+      MetricsRegistry::Global().counter("roadnet.map_match.sealed");
+  const uint64_t before = sealed_uses.value();
+  const std::span<const RawTrajectory> corpus = maker.corpus();
+  ASSERT_EQ(maker.match_seal().num_trips(), corpus.size());
+  size_t sealed = 0;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    if (!maker.match_seal().runs(i).empty()) ++sealed;
+    Result<Summary> live = maker.Summarize(corpus[i]);
+    Result<Summary> served = maker.SummarizeTrip(i);
+    ASSERT_EQ(live.ok(), served.ok()) << "trip " << i;
+    if (!live.ok()) {
+      EXPECT_EQ(live.status().ToString(), served.status().ToString());
+      continue;
+    }
+    EXPECT_EQ(SummaryToJson(*live, maker.registry()),
+              SummaryToJson(*served, maker.registry()))
+        << "trip " << i;
+  }
+  EXPECT_GT(sealed, corpus.size() * 9 / 10);
+  EXPECT_EQ(sealed_uses.value() - before, sealed);
+  EXPECT_EQ(maker.SummarizeTrip(corpus.size()).status().code(),
+            StatusCode::kOutOfRange);
+}
+
+/// Corpus trip 8 with a NaN fix: sanitize repairs it, so it is never
+/// sealed and always matches live.
+RawTrajectory Poisoned(const RawTrajectory& raw) {
+  RawTrajectory poisoned = raw;
+  poisoned.samples[2].pos.x = std::numeric_limits<double>::quiet_NaN();
+  return poisoned;
+}
+
+TEST(SealedMatchTest, SummarizeTripEqualsLiveAfterTrainLoadAndIncrement) {
+  const TestWorld& world = GetTestWorld();
+  // Private landmarks: training rewrites significances, and the shared
+  // world's must stay as its own maker trained them.
+  PoiGeneratorOptions poi_options;
+  poi_options.num_sites = 250;
+  LandmarkIndex landmarks = LandmarkIndex::Build(
+      world.city.network,
+      PoiGenerator(poi_options).Generate(world.city.network));
+  std::vector<RawTrajectory> corpus;
+  for (const GeneratedTrip& t : world.history) corpus.push_back(t.raw);
+  corpus.push_back(Poisoned(world.history[8].raw));
+  const size_t poisoned = corpus.size() - 1;
+
+  const std::string path = ::testing::TempDir() + "/sealed_matches.stm";
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(StrFormat("Train at %d threads", threads));
+    STMakerOptions options;
+    options.num_threads = threads;
+    STMaker maker(&world.city.network, &landmarks, FeatureRegistry::BuiltIn(),
+                  options);
+    ASSERT_TRUE(maker.Train(corpus).ok());
+    EXPECT_TRUE(maker.match_seal().runs(poisoned).empty());
+    ExpectSealedEqualsLive(maker);
+    if (threads == 1) ASSERT_TRUE(maker.SaveModelContainer(path).ok());
+  }
+
+  auto loaded = LoadContainerModel(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  STMaker& restored = *(*loaded)->maker;
+  {
+    SCOPED_TRACE("container load");
+    ExpectSealedEqualsLive(restored);
+  }
+  std::vector<RawTrajectory> more;
+  for (uint64_t seed = 0; seed < 30; ++seed) {
+    Random rng(7000 + seed);
+    auto trip = world.generator->GenerateTrip(8 * 3600 + 600 * seed, &rng);
+    if (trip.ok()) more.push_back(trip->raw);
+  }
+  more.push_back(Poisoned(world.history[8].raw));
+  ASSERT_TRUE(restored.TrainIncremental(more).ok());
+  EXPECT_TRUE(restored.match_seal().runs(restored.corpus().size() - 1).empty());
+  {
+    SCOPED_TRACE("container load + TrainIncremental");
+    ExpectSealedEqualsLive(restored);
+  }
+}
+
+TEST(SealedMatchTest, RunsRoundTripThroughEncodeAndExpand) {
+  const std::vector<EdgeId> matched = {-1, -1, 4, 4, 4, 7, -1, 7, 7};
+  const std::vector<MatchRun> runs = MatchSeal::Encode(matched);
+  ASSERT_EQ(runs.size(), 5u);
+  EXPECT_EQ(runs[0].edge, -1);
+  EXPECT_EQ(runs[0].end, 2u);
+  EXPECT_EQ(runs[4].edge, 7);
+  EXPECT_EQ(runs[4].end, 9u);
+  std::vector<EdgeId> expanded;
+  MatchSeal::Expand(runs, &expanded);
+  EXPECT_EQ(expanded, matched);
+  // Unsealable sequences leave the slot empty.
+  EXPECT_TRUE(MatchSeal::Encode({}).empty());
+  const std::vector<EdgeId> wide = {EdgeId{1} << 40};
+  EXPECT_TRUE(MatchSeal::Encode(wide).empty());
 }
 
 }  // namespace

@@ -84,6 +84,42 @@ PERFBENCH_LOAD_SECTION = [
     "",
 ]
 
+# Quoted perfbench pairs for the sealed map matches (DESIGN.md §18).
+PERFBENCH_SUMMARIZE_SECTION = [
+    "## Summarize at the bench world: sealed map matches",
+    "",
+    "Same host and world, ten alternating pairs per workload (seeds "
+    "201-210, `--seconds 42`,",
+    "`--trace 0`), before and after training sealed each corpus trip's "
+    "map match into",
+    "the `.stm` so that `summarize` of a corpus trip stops re-running the "
+    "matcher. Medians:",
+    "",
+    "| workload | metric | live matching | sealed matches |",
+    "|---|---|---:|---:|",
+    "| `summarize_hot` | `cpu_ms_per_req` | 0.328 | 0.191 |",
+    "| `summarize_hot` | `knee_qps` | 7,613 | 16,200 |",
+    "| `mixed_uniform` | `cpu_ms_per_req` | 0.298 | 0.230 |",
+    "| `mixed_uniform` | `knee_qps` | 8,530 | 12,269 |",
+    "",
+    "Sealed was lower on `cpu_ms_per_req` and higher on `knee_qps` in 10 "
+    "of 10 pairs on",
+    "both workloads (parent interquartile range of `cpu_ms_per_req`: "
+    "0.024 ms hot, 0.025",
+    "mixed). `rss_mb` rose 1.5% / 0.8% (the ~0.5 MB of sealed runs, "
+    "mapped), `reload_ms`",
+    "4.6% / 1.1%. `coldstart_ms` read 13% / 5.5% higher, but perfbench "
+    "times the fork of",
+    "its own process, which grows with the requests a faster server is "
+    "sent; an idle",
+    "start of both servers on one model is equal (ROADMAP, bench "
+    "hygiene). With",
+    "`--trace 1` on `summarize_hot` (seed 31), `stage.extract_ms` is "
+    "0.028 ms and",
+    "`roadnet.map_match_ms` 0: no served summarize runs the matcher.",
+    "",
+]
+
 def fmt(x, digits=2):
     """Format a number with fixed digits, keeping integers unadorned."""
     if isinstance(x, int):
@@ -276,6 +312,7 @@ def render(records):
         out.append("")
 
     out.extend(PERFBENCH_LOAD_SECTION)
+    out.extend(PERFBENCH_SUMMARIZE_SECTION)
 
     if slo:
         out.append("## Serving SLO: p99 vs offered load")

@@ -16,8 +16,9 @@
 //   # byte-identical at any thread count):
 //   stmaker_cli train --dir /tmp/city --model /tmp/city/model.stm --threads 4
 //
-//   # Summarize using a trained model (no re-training):
-//   stmaker_cli summarize --dir /tmp/city --trip 3 --model /tmp/city/model.stm
+//   # Summarize a corpus trip of a trained model (no re-training, no
+//   # dataset CSV read — the container carries world and corpus):
+//   stmaker_cli summarize --trip 3 --model /tmp/city/model.stm
 //
 //   # Dump a model container as human-readable CSV files (one-way, for
 //   # diffing; nothing loads them):
@@ -157,8 +158,8 @@ int Usage() {
                "[--trips T] [--pois P]\n"
                "  stmaker_cli train --dir D --model M [--threads N]\n"
                "              [--router dijkstra|ch]\n"
-               "  stmaker_cli summarize --dir D --trip I [--k K] "
-               "[--eta E] [--json|--geojson] [--model M] [--threads N]\n"
+               "  stmaker_cli summarize (--dir D | --model M) --trip I "
+               "[--k K] [--eta E] [--json|--geojson] [--threads N]\n"
                "  stmaker_cli unpack --model M --out P\n"
                "  stmaker_cli stats --dir D [--trips T] [--threads N]\n"
                "  stmaker_cli group --dir D [--from-hour H] [--to-hour H]\n"
@@ -178,10 +179,10 @@ int Usage() {
                "disables it; summaries are byte-identical either way)\n"
                "(--model M: the model container file `train` writes — one "
                "binary file with the mined model, its world and its serving "
-               "corpus, which the server mmaps (docs/FORMAT.md); serve then "
-               "reads nothing from --dir; any other file is rejected "
-               "with exit 3. unpack dumps M as human-readable CSV files "
-               "P_*.csv, one-way)\n"
+               "corpus, which the server mmaps (docs/FORMAT.md); serve and "
+               "summarize then read nothing from --dir; any other file is "
+               "rejected with exit 3. unpack dumps M as human-readable CSV "
+               "files P_*.csv, one-way)\n"
                "(--port: serve NDJSON over TCP instead of stdin; 0 picks a "
                "free port, reported as `listening on ADDR:PORT` on stderr. "
                "SIGTERM/SIGINT drain gracefully: stop accepting, finish "
@@ -400,74 +401,76 @@ int RunUnpack(const Args& args) {
   return 0;
 }
 
+/// Prints a summary as --json, --geojson or plain text.
+void PrintSummary(const Args& args, const Summary& summary,
+                  const STMaker& maker) {
+  if (args.Has("json")) {
+    std::printf("%s\n", SummaryToJson(summary, maker.registry()).c_str());
+  } else if (args.Has("geojson")) {
+    LocalProjection projection(LatLon{39.9, 116.4});
+    std::printf("%s\n",
+                SummaryToGeoJson(summary, maker.landmarks(), projection)
+                    .c_str());
+  } else {
+    std::printf("%s\n", summary.text.c_str());
+  }
+}
+
 int RunSummarize(const Args& args) {
-  if (!args.Has("dir") || !args.Has("trip")) return Usage();
+  if (!args.Has("trip") || !(args.Has("dir") || args.Has("model"))) {
+    return Usage();
+  }
   Result<int> threads = ThreadsFlag(args);
   if (!threads.ok()) return Fail(threads.status());
-  // Declared before the world so it is destroyed after it: with a model
-  // the network's hot arrays alias this mapping.
-  std::shared_ptr<MappedContainer> container;
+  const size_t trip = static_cast<size_t>(args.GetInt("trip", 0));
+  SummaryOptions options;
+  options.k = static_cast<int>(args.GetInt("k", 0));
+  options.eta = args.GetDouble("eta", 0.2);
+
+  if (args.Has("model")) {
+    // The container carries the world (network + landmarks with mined
+    // significances) and the serving corpus, so no dataset CSV is read:
+    // --trip indexes the sealed corpus, exactly as `serve` does. Declared
+    // in lifetime order — the network's hot arrays alias the mapping.
+    Result<std::shared_ptr<MappedContainer>> container =
+        MappedContainer::Open(args.Get("model", "model"));
+    if (!container.ok()) return Fail(container.status());
+    Result<RoadNetwork> network = LoadNetworkFromContainer(**container);
+    if (!network.ok()) return Fail(network.status());
+    Result<LandmarkIndex> landmarks =
+        LoadLandmarksFromContainer(**container, *network);
+    if (!landmarks.ok()) return Fail(landmarks.status());
+    STMaker maker(&*network, &*landmarks, FeatureRegistry::BuiltIn(),
+                  MakerOptions(*threads));
+    Status st = maker.LoadModelContainer(**container);
+    if (!st.ok()) return Fail(st);
+    Result<Summary> summary = maker.SummarizeTrip(trip, options);
+    if (!summary.ok()) return Fail(summary.status());
+    PrintSummary(args, *summary, maker);
+    return 0;
+  }
+
   Result<LoadedWorld> loaded = LoadWorld(args.Get("dir", "."));
   if (!loaded.ok()) return Fail(loaded.status());
   LoadedWorld& world = *loaded;
-
-  size_t trip = static_cast<size_t>(args.GetInt("trip", 0));
   if (trip >= world.trajectories.size()) {
     return Fail(Status::OutOfRange(
         "trip " + std::to_string(trip) + " out of range (corpus has " +
         std::to_string(world.trajectories.size()) + ")"));
   }
-
-  if (args.Has("model")) {
-    // A container carries its own world (network + landmarks with mined
-    // significances); the --dir CSVs only supply the trajectory corpus.
-    Result<std::shared_ptr<MappedContainer>> opened =
-        MappedContainer::Open(args.Get("model", "model"));
-    if (!opened.ok()) return Fail(opened.status());
-    container = std::move(*opened);
-    Result<RoadNetwork> network = LoadNetworkFromContainer(*container);
-    if (!network.ok()) return Fail(network.status());
-    world.network = std::move(*network);
-    Result<LandmarkIndex> landmarks =
-        LoadLandmarksFromContainer(*container, world.network);
-    if (!landmarks.ok()) return Fail(landmarks.status());
-    world.landmarks =
-        std::make_unique<LandmarkIndex>(std::move(*landmarks));
-  }
-
+  // Train on everything except the queried trip.
   STMaker maker(&world.network, world.landmarks.get(),
                 FeatureRegistry::BuiltIn(), MakerOptions(*threads));
-  if (container != nullptr) {
-    Status st = maker.LoadModelContainer(*container);
-    if (!st.ok()) return Fail(st);
-  } else {
-    // Train on everything except the queried trip.
-    std::vector<RawTrajectory> history;
-    history.reserve(world.trajectories.size() - 1);
-    for (size_t i = 0; i < world.trajectories.size(); ++i) {
-      if (i != trip) history.push_back(world.trajectories[i]);
-    }
-    Status st = maker.Train(history);
-    if (!st.ok()) return Fail(st);
+  std::vector<RawTrajectory> history;
+  history.reserve(world.trajectories.size() - 1);
+  for (size_t i = 0; i < world.trajectories.size(); ++i) {
+    if (i != trip) history.push_back(world.trajectories[i]);
   }
-
-  SummaryOptions options;
-  options.k = static_cast<int>(args.GetInt("k", 0));
-  options.eta = args.GetDouble("eta", 0.2);
-  Result<Summary> summary =
-      maker.Summarize(world.trajectories[trip], options);
+  Status st = maker.Train(history);
+  if (!st.ok()) return Fail(st);
+  Result<Summary> summary = maker.Summarize(world.trajectories[trip], options);
   if (!summary.ok()) return Fail(summary.status());
-
-  if (args.Has("json")) {
-    std::printf("%s\n", SummaryToJson(*summary, maker.registry()).c_str());
-  } else if (args.Has("geojson")) {
-    LocalProjection projection(LatLon{39.9, 116.4});
-    std::printf("%s\n",
-                SummaryToGeoJson(*summary, *world.landmarks, projection)
-                    .c_str());
-  } else {
-    std::printf("%s\n", summary->text.c_str());
-  }
+  PrintSummary(args, *summary, maker);
   return 0;
 }
 
